@@ -216,7 +216,7 @@ impl<K: Eq> Cam<K> {
     }
 
     /// Removes all entries for which `pred` returns `true`, returning the
-    /// removed keys (used by flow housekeeping to expire timed-out flows).
+    /// removed keys (e.g. to expire timed-out flows in one sweep).
     pub fn drain_filter(&mut self, mut pred: impl FnMut(&K) -> bool) -> Vec<K> {
         let mut removed = Vec::new();
         for slot in 0..self.slots.len() {

@@ -22,8 +22,7 @@
 //! borrow prevents a second concurrent session; [`Session::finish`]
 //! consumes the handle) or a typed [`SessionError`] (push after drain).
 //! Every run produces a [`RunReport`], the common report both
-//! `SimReport` and the engine's report convert into. The free function
-//! [`run_session`] survives as a deprecated shim over the handle.
+//! `SimReport` and the engine's report convert into.
 //!
 //! ```
 //! use flowlut_core::backend::{FlowPipeline, RunReport};
@@ -100,7 +99,7 @@ pub struct OpStats {
     pub mem_writes: u64,
     /// On-chip CAM searches.
     pub cam_searches: u64,
-    /// Entries relocated (cuckoo kicks / one-move moves / evictions).
+    /// Entries relocated (cuckoo kicks / one-move moves).
     pub relocations: u64,
     /// Lookup operations performed.
     pub lookups: u64,
@@ -621,7 +620,7 @@ pub trait FlowBackend: FlowStore {
 }
 
 /// The unified end-to-end report of one streaming session, produced by
-/// [`run_session`]. Both `SimReport` and the multi-channel engine's
+/// [`Session::finish`]. Both `SimReport` and the multi-channel engine's
 /// report convert into it (`From` impls), so sweeps over heterogeneous
 /// backends tabulate one shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -673,30 +672,6 @@ impl RunReport {
             stats,
             occupancy: end.occupancy,
         }
-    }
-}
-
-/// Drives one paced streaming session end to end: offers `descs` at the
-/// pipeline's configured input rate, ticks every cycle, drains when
-/// input ends, and reports the run.
-///
-/// Deprecated shim: exactly equivalent to opening a typed [`Session`]
-/// and calling [`Session::run`] — which is where the canonical paced
-/// driver loop now lives, with compile-time lifecycle enforcement.
-///
-/// # Panics
-///
-/// Panics if the pipeline completes nothing for an implausibly long time
-/// (a scheduler deadlock — a bug, not a workload condition).
-#[deprecated(
-    since = "0.2.0",
-    note = "open a typed session instead: `pipe.start_run().run(descs)` \
-            (or `Session::new(pipe).run(descs)` on a `&mut dyn FlowPipeline`)"
-)]
-pub fn run_session(pipe: &mut dyn FlowPipeline, descs: &[PacketDescriptor]) -> RunReport {
-    match Session::new(pipe).run(descs) {
-        Ok(report) => report,
-        Err(_) => unreachable!("a freshly opened session is never drained"),
     }
 }
 

@@ -307,8 +307,7 @@ pub fn read_location(
 /// Serializes a [`FlowRecord`].
 pub fn write_record(w: &mut ByteWriter, r: &FlowRecord) {
     write_key(w, &r.key);
-    w.put_u64(r.first_seen_ns);
-    w.put_u64(r.last_seen_ns);
+    w.put_u64(r.first_touch_sys);
     w.put_u64(r.last_touch_sys);
     w.put_u64(r.packets);
     w.put_u64(r.bytes);
@@ -322,8 +321,7 @@ pub fn write_record(w: &mut ByteWriter, r: &FlowRecord) {
 pub fn read_record(r: &mut ByteReader<'_>) -> Result<FlowRecord, CheckpointError> {
     Ok(FlowRecord {
         key: read_key(r)?,
-        first_seen_ns: r.u64()?,
-        last_seen_ns: r.u64()?,
+        first_touch_sys: r.u64()?,
         last_touch_sys: r.u64()?,
         packets: r.u64()?,
         bytes: r.u64()?,
@@ -353,8 +351,6 @@ pub fn write_stats(w: &mut ByteWriter, s: &SimStats) {
         s.bwr_count_releases,
         s.bwr_timeout_releases,
         s.deletes,
-        s.housekeeping_expired,
-        s.evictions,
         s.expired_ttl,
         s.pressure_evicted,
         s.total_latency_sys,
@@ -394,8 +390,6 @@ pub fn read_stats(r: &mut ByteReader<'_>) -> Result<SimStats, CheckpointError> {
         bwr_count_releases: r.u64()?,
         bwr_timeout_releases: r.u64()?,
         deletes: r.u64()?,
-        housekeeping_expired: r.u64()?,
-        evictions: r.u64()?,
         expired_ttl: r.u64()?,
         pressure_evicted: r.u64()?,
         total_latency_sys: r.u64()?,
@@ -453,8 +447,8 @@ mod tests {
             },
             Location::Cam(15),
         ];
-        let mut rec = FlowRecord::first_packet(key, 500, 100, 64);
-        rec.update(900, 180, 1500);
+        let mut rec = FlowRecord::first_packet(key, 100, 64);
+        rec.update(180, 1500);
         let mut w = ByteWriter::new();
         write_key(&mut w, &key);
         for loc in locs {
@@ -525,17 +519,15 @@ mod tests {
             bwr_count_releases: 18,
             bwr_timeout_releases: 19,
             deletes: 20,
-            housekeeping_expired: 21,
-            evictions: 22,
-            expired_ttl: 23,
-            pressure_evicted: 24,
-            total_latency_sys: 25,
-            max_latency_sys: 26,
+            expired_ttl: 21,
+            pressure_evicted: 22,
+            total_latency_sys: 23,
+            max_latency_sys: 24,
         };
         let mut w = ByteWriter::new();
         write_stats(&mut w, &s);
         let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 26 * 8);
+        assert_eq!(bytes.len(), 24 * 8);
         let mut r = ByteReader::new(&bytes);
         assert_eq!(read_stats(&mut r).unwrap(), s);
         r.finish().unwrap();

@@ -19,8 +19,8 @@ pub enum InsertError {
     /// The key is already resident; carries its existing [`FlowId`].
     Duplicate(FlowId),
     /// Both candidate buckets and the CAM are full. The paper's scheme
-    /// relies on housekeeping (flow expiry) keeping this rare; callers
-    /// typically drop the flow or evict.
+    /// relies on flow expiry keeping this rare; callers typically drop
+    /// the flow or evict.
     TableFull,
 }
 

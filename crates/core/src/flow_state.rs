@@ -1,11 +1,13 @@
-//! Per-flow state and housekeeping (the paper's "Flow State" block).
+//! Per-flow state (the paper's "Flow State" block).
 //!
 //! The prototype stores 512 bits of per-flow information addressed by the
-//! flow ID, and a housekeeping function "periodically checks and removes
-//! timeout flow entries to allow new flow entries to be stored",
-//! signalling `Del_req` to the update block. [`FlowStateStore`] models
-//! the record store (NetFlow-style counters) and [`FlowStateStore::expire_idle`]
-//! implements the timeout scan.
+//! flow ID. [`FlowStateStore`] models the record store (NetFlow-style
+//! counters). Records are stamped in system cycles only; exporters convert
+//! with [`SimConfig::sys_period_ns`](crate::config::SimConfig::sys_period_ns).
+//! Aging and pressure eviction walk the store incrementally through
+//! [`FlowStateStore::scan_after`] on behalf of the simulator's
+//! [`ExpiryPolicy`](crate::config::ExpiryPolicy) and
+//! [`PressurePolicy`](crate::config::PressurePolicy).
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -20,10 +22,8 @@ use crate::fid::FlowId;
 pub struct FlowRecord {
     /// Flow identity.
     pub key: FlowKey,
-    /// Timestamp of the first packet (ns).
-    pub first_seen_ns: u64,
-    /// Timestamp of the most recent packet (ns).
-    pub last_seen_ns: u64,
+    /// System cycle of the first packet.
+    pub first_touch_sys: u64,
     /// System cycle of the most recent packet — the recency stamp the
     /// TTL-expiry scan and pressure eviction compare against.
     pub last_touch_sys: u64,
@@ -35,11 +35,10 @@ pub struct FlowRecord {
 
 impl FlowRecord {
     /// Creates a record from the flow's first packet.
-    pub fn first_packet(key: FlowKey, now_ns: u64, now_sys: u64, frame_bytes: u64) -> Self {
+    pub fn first_packet(key: FlowKey, now_sys: u64, frame_bytes: u64) -> Self {
         FlowRecord {
             key,
-            first_seen_ns: now_ns,
-            last_seen_ns: now_ns,
+            first_touch_sys: now_sys,
             last_touch_sys: now_sys,
             packets: 1,
             bytes: frame_bytes,
@@ -51,22 +50,16 @@ impl FlowRecord {
     /// # Panics
     ///
     /// Panics (debug only) if time runs backwards.
-    pub fn update(&mut self, now_ns: u64, now_sys: u64, frame_bytes: u64) {
-        debug_assert!(now_ns >= self.last_seen_ns, "time ran backwards");
-        self.last_seen_ns = now_ns;
+    pub fn update(&mut self, now_sys: u64, frame_bytes: u64) {
+        debug_assert!(now_sys >= self.last_touch_sys, "time ran backwards");
         self.last_touch_sys = now_sys;
         self.packets += 1;
         self.bytes += frame_bytes;
     }
 
-    /// Nanoseconds since the last packet.
-    pub fn idle_ns(&self, now_ns: u64) -> u64 {
-        now_ns.saturating_sub(self.last_seen_ns)
-    }
-
-    /// Flow duration so far.
-    pub fn duration_ns(&self) -> u64 {
-        self.last_seen_ns - self.first_seen_ns
+    /// Flow duration so far, in system cycles.
+    pub fn duration_sys(&self) -> u64 {
+        self.last_touch_sys - self.first_touch_sys
     }
 }
 
@@ -103,18 +96,10 @@ impl FlowStateStore {
     ///
     /// Panics if `id` already has a record (the flow table must not remint
     /// a live ID — this guards invariant 2 of DESIGN.md).
-    pub fn on_new_flow(
-        &mut self,
-        id: FlowId,
-        key: FlowKey,
-        now_ns: u64,
-        now_sys: u64,
-        frame_bytes: u64,
-    ) {
-        let prev = self.records.insert(
-            id,
-            FlowRecord::first_packet(key, now_ns, now_sys, frame_bytes),
-        );
+    pub fn on_new_flow(&mut self, id: FlowId, key: FlowKey, now_sys: u64, frame_bytes: u64) {
+        let prev = self
+            .records
+            .insert(id, FlowRecord::first_packet(key, now_sys, frame_bytes));
         assert!(prev.is_none(), "flow ID {id} reused while record live");
     }
 
@@ -137,11 +122,11 @@ impl FlowStateStore {
     ///
     /// Panics if `id` has no record (a hit on an ID that was never
     /// created means table and state store diverged).
-    pub fn on_packet(&mut self, id: FlowId, now_ns: u64, now_sys: u64, frame_bytes: u64) {
+    pub fn on_packet(&mut self, id: FlowId, now_sys: u64, frame_bytes: u64) {
         self.records
             .get_mut(&id)
             .unwrap_or_else(|| panic!("no record for {id}"))
-            .update(now_ns, now_sys, frame_bytes);
+            .update(now_sys, frame_bytes);
     }
 
     /// The record for `id`, if any.
@@ -152,58 +137,6 @@ impl FlowStateStore {
     /// Removes and returns the record for `id`.
     pub fn remove(&mut self, id: FlowId) -> Option<FlowRecord> {
         self.records.remove(&id)
-    }
-
-    /// Non-destructive housekeeping scan: returns the flows idle for
-    /// longer than `timeout_ns`, in deterministic (ID) order, *without*
-    /// removing their records.
-    ///
-    /// The update block validates each candidate again at deletion time
-    /// (the flow may have received traffic since the scan) and removes
-    /// the record together with the table entry — keeping record store
-    /// and table atomically consistent under in-flight traffic.
-    pub fn idle_candidates(&self, now_ns: u64, timeout_ns: u64) -> Vec<(FlowId, FlowRecord)> {
-        let mut out = Vec::new();
-        self.idle_candidates_into(now_ns, timeout_ns, &mut out);
-        out
-    }
-
-    /// [`idle_candidates`](Self::idle_candidates) into a caller-provided
-    /// buffer (cleared and refilled), so the periodic housekeeping scan
-    /// reuses one allocation across invocations. Same deterministic ID
-    /// order (the record store iterates in ID order).
-    pub fn idle_candidates_into(
-        &self,
-        now_ns: u64,
-        timeout_ns: u64,
-        out: &mut Vec<(FlowId, FlowRecord)>,
-    ) {
-        out.clear();
-        out.extend(
-            self.records
-                .iter()
-                .filter(|(_, r)| r.idle_ns(now_ns) > timeout_ns)
-                .map(|(&id, r)| (id, *r)),
-        );
-    }
-
-    /// The housekeeping scan: removes every record idle for longer than
-    /// `timeout_ns` and returns them (each removal is a `Del_req` for the
-    /// update block).
-    pub fn expire_idle(&mut self, now_ns: u64, timeout_ns: u64) -> Vec<(FlowId, FlowRecord)> {
-        let expired: Vec<FlowId> = self
-            .records
-            .iter()
-            .filter(|(_, r)| r.idle_ns(now_ns) > timeout_ns)
-            .map(|(&id, _)| id)
-            .collect();
-        let mut out: Vec<(FlowId, FlowRecord)> = expired
-            .into_iter()
-            .map(|id| (id, self.records.remove(&id).expect("collected above")))
-            .collect();
-        // Deterministic order for reproducible simulations.
-        out.sort_by_key(|(id, _)| *id);
-        out
     }
 
     /// Iterates over live `(id, record)` pairs in ascending ID order.
@@ -264,21 +197,20 @@ mod tests {
 
     #[test]
     fn record_accumulates() {
-        let mut r = FlowRecord::first_packet(key(1), 1000, 200, 72);
-        r.update(2000, 400, 100);
-        r.update(5000, 1000, 72);
+        let mut r = FlowRecord::first_packet(key(1), 200, 72);
+        r.update(400, 100);
+        r.update(1000, 72);
         assert_eq!(r.packets, 3);
         assert_eq!(r.bytes, 244);
-        assert_eq!(r.duration_ns(), 4000);
-        assert_eq!(r.idle_ns(6000), 1000);
+        assert_eq!(r.duration_sys(), 800);
         assert_eq!(r.last_touch_sys, 1000);
     }
 
     #[test]
     fn store_lifecycle() {
         let mut s = FlowStateStore::new();
-        s.on_new_flow(fid(1), key(1), 0, 0, 72);
-        s.on_packet(fid(1), 10, 2, 72);
+        s.on_new_flow(fid(1), key(1), 0, 72);
+        s.on_packet(fid(1), 2, 72);
         assert_eq!(s.get(fid(1)).unwrap().packets, 2);
         assert_eq!(s.get(fid(1)).unwrap().last_touch_sys, 2);
         assert_eq!(s.len(), 1);
@@ -288,37 +220,10 @@ mod tests {
     }
 
     #[test]
-    fn expire_removes_only_idle() {
-        let mut s = FlowStateStore::new();
-        s.on_new_flow(fid(1), key(1), 0, 0, 72); // idle since 0
-        s.on_new_flow(fid(2), key(2), 0, 0, 72);
-        s.on_packet(fid(2), 9_000, 1_800, 72); // refreshed
-        let expired = s.expire_idle(10_000, 5_000);
-        assert_eq!(expired.len(), 1);
-        assert_eq!(expired[0].0, fid(1));
-        assert_eq!(s.len(), 1);
-        assert!(s.get(fid(2)).is_some());
-    }
-
-    #[test]
-    fn expire_is_deterministic_order() {
-        let mut s = FlowStateStore::new();
-        for i in (0..10).rev() {
-            s.on_new_flow(fid(i), key(u64::from(i)), 0, 0, 72);
-        }
-        let expired = s.expire_idle(1_000_000, 1);
-        let ids: Vec<FlowId> = expired.iter().map(|(id, _)| *id).collect();
-        let mut sorted = ids.clone();
-        sorted.sort();
-        assert_eq!(ids, sorted);
-        assert_eq!(ids.len(), 10);
-    }
-
-    #[test]
     fn scan_after_walks_in_strides_and_signals_wraparound() {
         let mut s = FlowStateStore::new();
         for i in 0..7 {
-            s.on_new_flow(fid(i), key(u64::from(i)), 0, 0, 72);
+            s.on_new_flow(fid(i), key(u64::from(i)), 0, 72);
         }
         let (batch, cur) = s.scan_after(None, 3);
         assert_eq!(
@@ -342,13 +247,13 @@ mod tests {
     #[test]
     fn adopt_preserves_counters() {
         let mut s = FlowStateStore::new();
-        let mut r = FlowRecord::first_packet(key(5), 100, 20, 72);
-        r.update(900, 180, 1500);
+        let mut r = FlowRecord::first_packet(key(5), 20, 72);
+        r.update(180, 1500);
         s.adopt(fid(5), r);
         let got = s.get(fid(5)).unwrap();
         assert_eq!(got.packets, 2);
         assert_eq!(got.bytes, 1572);
-        assert_eq!(got.first_seen_ns, 100);
+        assert_eq!(got.first_touch_sys, 20);
         assert_eq!(got.last_touch_sys, 180);
     }
 
@@ -356,14 +261,14 @@ mod tests {
     #[should_panic(expected = "reused while record live")]
     fn double_create_panics() {
         let mut s = FlowStateStore::new();
-        s.on_new_flow(fid(1), key(1), 0, 0, 72);
-        s.on_new_flow(fid(1), key(2), 1, 1, 72);
+        s.on_new_flow(fid(1), key(1), 0, 72);
+        s.on_new_flow(fid(1), key(2), 1, 72);
     }
 
     #[test]
     #[should_panic(expected = "no record for")]
     fn packet_for_unknown_id_panics() {
         let mut s = FlowStateStore::new();
-        s.on_packet(fid(9), 0, 0, 72);
+        s.on_packet(fid(9), 0, 72);
     }
 }

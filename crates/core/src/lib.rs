@@ -13,8 +13,9 @@
 //!    request reordering (DLU), RAW-hazard filtering, and burst-grouped
 //!    update writes ([`sim::FlowLutSim`], cycle-accurate against the
 //!    [`flowlut_ddr3`] memory model);
-//! 3. **flow-state housekeeping** that expires idle flows to keep the
-//!    table absorbing new ones ([`flow_state`]).
+//! 3. **per-flow state** with idle-TTL aging and bounded-loss pressure
+//!    eviction that keep the table absorbing new flows ([`flow_state`],
+//!    [`ExpiryPolicy`], [`PressurePolicy`]).
 //!
 //! Use the functional layer if you want the data structure; use the
 //! simulator if you want the paper's performance experiments.
@@ -65,8 +66,6 @@ pub mod sim;
 pub mod sync;
 pub mod table;
 
-#[allow(deprecated)]
-pub use backend::run_session;
 pub use backend::{
     FlowBackend, FlowEvent, FlowEventKind, FlowPipeline, FlowStore, FullError, OpStats, RunReport,
     Session, SessionError, SessionProgress,

@@ -39,7 +39,7 @@ use crate::backend::{
 };
 use crate::checkpoint::{self, ByteReader, ByteWriter, CheckpointError, Fnv64};
 use crate::codec;
-use crate::config::{FullTablePolicy, LoadBalancerPolicy, SimConfig};
+use crate::config::{LoadBalancerPolicy, SimConfig};
 use crate::error::{InsertError, PreloadError};
 use crate::fid::{FlowId, Location, PathId};
 use crate::flow_state::{FlowRecord, FlowStateStore};
@@ -64,13 +64,9 @@ struct WriteIntent {
 /// A deletion request queued for the update unit.
 #[derive(Debug, Clone, Copy)]
 enum DelReq {
-    /// Housekeeping-nominated expiry: re-validated for idleness at
-    /// processing time (the flow may have received traffic since the
-    /// scan).
-    Expire(FlowKey),
     /// TTL-expiry nominated by the incremental [`ExpiryPolicy`] scan:
-    /// re-validated in *cycle* time at processing (the flow may have
-    /// been touched since the scan stride visited it).
+    /// re-validated at processing (the flow may have been touched since
+    /// the scan stride visited it).
     ///
     /// [`ExpiryPolicy`]: crate::config::ExpiryPolicy
     ExpireTtl(FlowKey),
@@ -197,7 +193,7 @@ pub struct FlowLutSim {
     parts_pool: Vec<Vec<Option<Vec<u8>>>>,
     /// DLU bucket-serialisation buffer.
     write_buf: Vec<u8>,
-    /// Lifecycle/housekeeping scan batch buffer.
+    /// Lifecycle scan batch buffer.
     scan_scratch: Vec<(FlowId, FlowRecord)>,
 }
 
@@ -321,7 +317,7 @@ impl FlowLutSim {
             {
                 touched[path.index()].insert(bucket);
             }
-            self.flow_state.on_new_flow(fid, key, 0, self.now_sys, 0);
+            self.flow_state.on_new_flow(fid, key, self.now_sys, 0);
             n += 1;
         }
         // Flush even on failure: the keys accepted so far must be
@@ -367,18 +363,6 @@ impl FlowLutSim {
         }
         self.push_desc(desc);
         true
-    }
-
-    /// Batch-ingests descriptors into the sequencer queue, preserving
-    /// order, until the queue fills. Returns how many were accepted; the
-    /// caller re-offers the remainder on a later cycle.
-    pub fn offer_batch(&mut self, descs: &[PacketDescriptor]) -> usize {
-        let room = self.cfg.sequencer_depth.saturating_sub(self.seq_q.len());
-        let take = room.min(descs.len());
-        for desc in &descs[..take] {
-            self.push_desc(*desc);
-        }
-        take
     }
 
     /// Descriptors offered but not yet resolved (queued or in flight).
@@ -493,15 +477,7 @@ impl FlowLutSim {
             self.handle_mem_completion(p, c);
         }
         self.completions_scratch = completions;
-        // 3. Housekeeping scan.
-        if self.cfg.housekeeping_period_sys > 0
-            && self
-                .now_sys
-                .is_multiple_of(self.cfg.housekeeping_period_sys)
-        {
-            self.housekeeping();
-        }
-        // 3b. Flow-lifecycle scans (inert unless the policies are set):
+        // 3. Flow-lifecycle scans (inert unless the policies are set):
         //     amortized incremental strides, never a stop-the-world walk.
         self.expiry_scan();
         self.pressure_scan();
@@ -524,7 +500,7 @@ impl FlowLutSim {
     /// Advances `cycles` system-clock cycles in one call — the
     /// epoch-batched form of [`tick`](Self::tick) for drivers that know
     /// no input will arrive for a stretch (idle-time advancement for
-    /// housekeeping, fixed-length warm-up, coarse-grained co-simulation).
+    /// flow aging, fixed-length warm-up, coarse-grained co-simulation).
     pub fn tick_many(&mut self, cycles: u64) {
         for _ in 0..cycles {
             self.tick();
@@ -653,13 +629,12 @@ impl FlowLutSim {
             ResolvedVia::Dropped => self.stats.drops += 1,
         }
         // Flow-state records.
-        let now_ns = (now as f64 * self.cfg.sys_period_ns()) as u64;
         let frame = u64::from(self.descs[desc].desc.frame_bytes);
         if let Some(fid) = fid {
             if via.is_new_flow() {
-                self.flow_state.on_new_flow(fid, key, now_ns, now, frame);
+                self.flow_state.on_new_flow(fid, key, now, frame);
             } else {
-                self.flow_state.on_packet(fid, now_ns, now, frame);
+                self.flow_state.on_packet(fid, now, frame);
             }
         }
         self.in_flight -= 1;
@@ -797,17 +772,6 @@ impl FlowLutSim {
         }
     }
 
-    fn housekeeping(&mut self) {
-        let now_ns = (self.now_sys as f64 * self.cfg.sys_period_ns()) as u64;
-        let mut batch = std::mem::take(&mut self.scan_scratch);
-        self.flow_state
-            .idle_candidates_into(now_ns, self.cfg.flow_timeout_ns, &mut batch);
-        for (_, record) in batch.drain(..) {
-            self.del_q.push_back(DelReq::Expire(record.key));
-        }
-        self.scan_scratch = batch;
-    }
-
     /// One stride of the incremental TTL scan ([`ExpiryPolicy`]): visits
     /// up to `scan_stride` records per cycle in ID order and nominates
     /// the cycle-idle ones for deletion. Nominations are re-validated by
@@ -902,8 +866,8 @@ impl FlowLutSim {
                 let Some(policy) = self.cfg.expiry else {
                     return;
                 };
-                // Re-validate in cycle time: the flow may have been
-                // touched (or completed against) since the scan stride.
+                // Re-validate: the flow may have been touched (or
+                // completed against) since the scan stride.
                 if self.inflight_keys.contains(&key) {
                     return;
                 }
@@ -944,23 +908,6 @@ impl FlowLutSim {
                 self.victims.push_back(record);
                 self.stats.pressure_evicted += 1;
                 self.push_event(FlowEventKind::EvictedPressure, key);
-                key
-            }
-            DelReq::Expire(key) => {
-                // Re-validate: the flow may have received traffic (or a
-                // same-key descriptor may be in flight) since the scan.
-                if self.inflight_keys.contains(&key) {
-                    return;
-                }
-                let Some(fid) = self.table.peek(&key) else {
-                    return; // already gone (duplicate candidate)
-                };
-                let now_ns = (self.now_sys as f64 * self.cfg.sys_period_ns()) as u64;
-                match self.flow_state.get(fid) {
-                    Some(r) if r.idle_ns(now_ns) > self.cfg.flow_timeout_ns => {}
-                    _ => return, // re-activated or record already gone
-                }
-                self.stats.housekeeping_expired += 1;
                 key
             }
             DelReq::User(key) => key,
@@ -1007,50 +954,9 @@ impl FlowLutSim {
                     self.complete(idx, ResolvedVia::InsertedCam, Some(fid));
                 }
             },
-            Err(InsertError::TableFull) => match self.cfg.full_table_policy {
-                FullTablePolicy::Drop => {
-                    self.complete(idx, ResolvedVia::Dropped, None);
-                }
-                FullTablePolicy::EvictIdlest => {
-                    if let Some(victim) = self.coldest_candidate(b1, b2) {
-                        // Evict the victim now, then retry this insert on
-                        // a later cycle (the eviction's bucket write must
-                        // be ordered first).
-                        self.del_q.push_back(DelReq::User(victim));
-                        self.stats.evictions += 1;
-                        self.ins_q.push_front(idx);
-                    } else {
-                        // Candidates are all CAM-resident or in flight:
-                        // nothing safely evictable.
-                        self.complete(idx, ResolvedVia::Dropped, None);
-                    }
-                }
-            },
+            Err(InsertError::TableFull) => self.complete(idx, ResolvedVia::Dropped, None),
             Err(InsertError::Duplicate(_)) => unreachable!("peeked above"),
         }
-    }
-
-    /// The least-recently-seen resident of the two candidate buckets,
-    /// skipping keys with in-flight descriptors (evicting those would
-    /// race their completion).
-    fn coldest_candidate(&self, b1: u32, b2: u32) -> Option<FlowKey> {
-        let mut best: Option<(u64, FlowKey)> = None;
-        for (path, bucket) in [(PathId::A, b1), (PathId::B, b2)] {
-            for slot in self.table.bucket_slots_ref(path, bucket).unwrap_or(&[]) {
-                let Some(key) = *slot else { continue };
-                if self.inflight_keys.contains(&key) {
-                    continue;
-                }
-                let Some(fid) = self.table.peek(&key) else {
-                    continue;
-                };
-                let last_seen = self.flow_state.get(fid).map_or(0, |r| r.last_seen_ns);
-                if best.is_none_or(|(b, _)| last_seen < b) {
-                    best = Some((last_seen, key));
-                }
-            }
-        }
-        best.map(|(_, k)| k)
     }
 
     fn add_update_intent(&mut self, path: usize, bucket: u32) {
@@ -1224,7 +1130,7 @@ impl FlowLutSim {
 /// Magic bytes of a single-channel simulator checkpoint ("FLUT" LE).
 const SIM_CHECKPOINT_MAGIC: u32 = 0x54554C46;
 /// Current checkpoint format version.
-const SIM_CHECKPOINT_VERSION: u32 = 1;
+const SIM_CHECKPOINT_VERSION: u32 = 2;
 
 /// FNV-1a digest over the behaviour-relevant configuration, recorded in
 /// checkpoints so a restore into a mismatched configuration fails loudly.
@@ -1620,7 +1526,7 @@ impl FlowStore for FlowLutSim {
     /// Unified accounting from the simulator counters: one `mem_read` /
     /// `mem_write` is one *bucket* access (burst counts divided by
     /// bursts-per-bucket), every admitted descriptor searches the CAM
-    /// once, and full-table evictions count as relocations.
+    /// once, and nothing relocates (a full table drops the new flow).
     fn op_stats(&self) -> OpStats {
         let s = &self.stats;
         let bpb = u64::from(self.bursts_per_bucket);
@@ -1628,7 +1534,7 @@ impl FlowStore for FlowLutSim {
             mem_reads: s.reads_issued / bpb,
             mem_writes: s.writes_issued / bpb,
             cam_searches: s.admitted,
-            relocations: s.evictions,
+            relocations: 0,
             lookups: s.completed,
             inserts: s.inserted_mem + s.inserted_cam + s.drops,
             rejected: s.drops,

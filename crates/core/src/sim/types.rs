@@ -111,10 +111,6 @@ pub struct SimStats {
     pub bwr_timeout_releases: u64,
     /// Deletions processed by the update unit.
     pub deletes: u64,
-    /// Flows expired by housekeeping.
-    pub housekeeping_expired: u64,
-    /// Flows evicted by the full-table policy.
-    pub evictions: u64,
     /// Flows expired by the incremental idle-TTL scan
     /// (`SimConfig::expiry`).
     pub expired_ttl: u64,
@@ -161,8 +157,6 @@ impl SimStats {
             bwr_count_releases: self.bwr_count_releases - earlier.bwr_count_releases,
             bwr_timeout_releases: self.bwr_timeout_releases - earlier.bwr_timeout_releases,
             deletes: self.deletes - earlier.deletes,
-            housekeeping_expired: self.housekeeping_expired - earlier.housekeeping_expired,
-            evictions: self.evictions - earlier.evictions,
             expired_ttl: self.expired_ttl - earlier.expired_ttl,
             pressure_evicted: self.pressure_evicted - earlier.pressure_evicted,
             total_latency_sys: self.total_latency_sys - earlier.total_latency_sys,
@@ -224,8 +218,6 @@ impl SimStats {
         self.bwr_count_releases += other.bwr_count_releases;
         self.bwr_timeout_releases += other.bwr_timeout_releases;
         self.deletes += other.deletes;
-        self.housekeeping_expired += other.housekeeping_expired;
-        self.evictions += other.evictions;
         self.expired_ttl += other.expired_ttl;
         self.pressure_evicted += other.pressure_evicted;
         self.total_latency_sys += other.total_latency_sys;

@@ -746,7 +746,7 @@ impl ShardedFlowLut {
 /// Magic bytes of an engine checkpoint ("FENG" LE).
 const ENGINE_CHECKPOINT_MAGIC: u32 = 0x474E4546;
 /// Current engine checkpoint format version.
-const ENGINE_CHECKPOINT_VERSION: u32 = 1;
+const ENGINE_CHECKPOINT_VERSION: u32 = 2;
 
 /// Backend name of the sharded engine, shared by the [`FlowStore`] impl
 /// and the [`EngineReport`] → [`RunReport`] conversion.

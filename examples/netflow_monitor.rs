@@ -55,13 +55,15 @@ fn main() {
         "{:<14} {:>8} {:>10} {:>12}",
         "flow id", "packets", "bytes", "duration us"
     );
+    // Records are stamped in system cycles; convert on export.
+    let period_ns = sim.config().sys_period_ns();
     for (id, r) in records.iter().take(10) {
         println!(
             "{:<14} {:>8} {:>10} {:>12.1}",
             id.to_string(),
             r.packets,
             r.bytes,
-            r.duration_ns() as f64 / 1000.0
+            r.duration_sys() as f64 * period_ns / 1000.0
         );
     }
 

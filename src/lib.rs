@@ -87,8 +87,6 @@
 mod builder;
 
 pub use builder::{BaselineKind, Builder};
-#[allow(deprecated)]
-pub use flowlut_core::backend::run_session;
 pub use flowlut_core::backend::{
     FlowBackend, FlowEvent, FlowEventKind, FlowPipeline, FlowStore, FullError, OpStats, RunReport,
     Session, SessionError, SessionProgress,

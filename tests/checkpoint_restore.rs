@@ -135,6 +135,22 @@ fn checkpoint_rejects_a_busy_engine_and_restore_rejects_bad_blobs() {
         ShardedFlowLut::restore(wrong, &blob),
         Err(CheckpointError::ConfigMismatch { .. })
     ));
+    // Blobs in the version-1 record and stats layout are refused, for
+    // the engine and for a single shard.
+    let patch_v1 = |mut bytes: Vec<u8>| {
+        bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+        bytes
+    };
+    assert!(matches!(
+        ShardedFlowLut::restore(config(), &patch_v1(blob)),
+        Err(CheckpointError::BadVersion(1))
+    ));
+    let mut sim = FlowLutSim::new(config().shard);
+    let sim_blob = sim.checkpoint().expect("fresh sim is quiescent");
+    assert!(matches!(
+        FlowLutSim::restore(config().shard, &patch_v1(sim_blob)),
+        Err(CheckpointError::BadVersion(1))
+    ));
 }
 
 #[test]

@@ -51,8 +51,6 @@ fn golden_1066e() -> RunReport {
             bwr_count_releases: 68,
             bwr_timeout_releases: 62,
             deletes: 0,
-            housekeeping_expired: 0,
-            evictions: 0,
             expired_ttl: 0,
             pressure_evicted: 0,
             total_latency_sys: 910572,
@@ -97,8 +95,6 @@ fn golden_default() -> RunReport {
             bwr_count_releases: 56,
             bwr_timeout_releases: 80,
             deletes: 0,
-            housekeeping_expired: 0,
-            evictions: 0,
             expired_ttl: 0,
             pressure_evicted: 0,
             total_latency_sys: 874948,
@@ -143,8 +139,6 @@ fn golden_engine() -> RunReport {
             bwr_count_releases: 75,
             bwr_timeout_releases: 75,
             deletes: 0,
-            housekeeping_expired: 0,
-            evictions: 0,
             expired_ttl: 0,
             pressure_evicted: 0,
             total_latency_sys: 483682,

@@ -1,10 +1,10 @@
 //! The legacy batch entry points (`FlowLutSim::run`,
 //! `ShardedFlowLut::run`) are thin wrappers over the typed streaming
 //! [`Session`]. These tests pin the behavioural equivalence: on a fixed
-//! seeded fabric trace, the wrapper, a hand-driven session, and the
-//! deprecated `run_session` shim all produce *identical* [`RunReport`]s
-//! — same cycle counts, same counters, same occupancy — for both the
-//! single-channel simulator and the sharded engine.
+//! seeded fabric trace, the wrapper and a hand-driven session produce
+//! *identical* [`RunReport`]s — same cycle counts, same counters, same
+//! occupancy — for both the single-channel simulator and the sharded
+//! engine.
 
 use flowlut::core::{FlowLutSim, SimConfig};
 use flowlut::engine::{EngineConfig, ShardedFlowLut};
@@ -46,19 +46,6 @@ fn engine_legacy_run_equals_streaming_session() {
     assert_eq!(legacy_report, session_report);
     assert_eq!(legacy_report.channels, 2);
     assert_eq!(legacy_report.completed, 2_000);
-}
-
-#[test]
-fn deprecated_run_session_shim_matches_typed_session() {
-    // The 0.2 migration shim must stay byte-for-byte equivalent to the
-    // session it wraps until it is removed.
-    let descs = trace(1_500);
-    let mut via_shim = FlowLutSim::new(SimConfig::test_small());
-    let mut via_session = FlowLutSim::new(SimConfig::test_small());
-    #[allow(deprecated)]
-    let shim_report = flowlut::run_session(&mut via_shim, &descs);
-    let session_report = via_session.start_run().run(&descs).expect("fresh session");
-    assert_eq!(shim_report, session_report);
 }
 
 #[test]
