@@ -1,19 +1,20 @@
-//! Ablation benches for the design choices DESIGN.md calls out:
+//! Ablations of the design choices DESIGN.md §Ablations calls out:
 //!
 //! * early-exit pipeline vs conventional simultaneous Hash-CAM
 //!   (DRAM reads per lookup);
 //! * bank selection on/off (simulated throughput);
 //! * BWr_Gen write-burst threshold sweep;
-//! * bucket size K sweep;
-//! * CAM capacity vs spill rate.
+//! * bucket size K sweep (CAM spill at 75 % load).
 //!
-//! The interesting outputs are *simulated* quantities (cycles, probes),
-//! printed to stderr once per group; criterion tracks the host-side cost
-//! of running the simulations.
+//! Every output is a *simulated* or counted quantity (reads, Mdesc/s of
+//! modelled hardware time, spilled keys), so a run is deterministic.
+//!
+//! Modes: default (full sizes), `--smoke` (run-check only; numbers not
+//! meaningful).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flowlut_baselines::{FlowTable, SimultaneousHashCam};
-use flowlut_core::{FlowLutSim, HashCamTable, SimConfig, TableConfig};
+use flowlut_bench::scaled;
+use flowlut_core::{FlowLutSim, HashCamTable, LookupStage, SimConfig, TableConfig};
 use flowlut_traffic::workloads::MatchRateWorkload;
 use flowlut_traffic::{FiveTuple, FlowKey};
 
@@ -25,9 +26,10 @@ fn keys(range: std::ops::Range<u64>) -> Vec<FlowKey> {
 
 /// Early exit vs simultaneous: average DRAM reads per lookup at a 50%
 /// hit rate — the bandwidth the paper's three-stage pipeline saves.
-fn ablation_early_exit(c: &mut Criterion) {
-    let resident = keys(0..2048);
-    let absent = keys(100_000..102_048);
+fn early_exit() {
+    let n = scaled(2048) as u64;
+    let resident = keys(0..n);
+    let absent = keys(100_000..100_000 + n);
 
     let mut ours = HashCamTable::new(TableConfig {
         buckets_per_mem: 2048,
@@ -38,8 +40,8 @@ fn ablation_early_exit(c: &mut Criterion) {
     });
     let mut simul = SimultaneousHashCam::new(2048, 2, 256, 5);
     for k in &resident {
-        ours.insert(*k).unwrap();
-        simul.insert(*k).unwrap();
+        ours.insert(*k).expect("2048 keys fit 8192 slots");
+        simul.insert(*k).expect("2048 keys fit 8192 slots");
     }
 
     // Early-exit read count: stage 2 suffices when the first bucket
@@ -49,9 +51,9 @@ fn ablation_early_exit(c: &mut Criterion) {
     for k in resident.iter().chain(&absent) {
         lookups += 1;
         early_reads += match ours.lookup(k) {
-            Some((_, flowlut_core::LookupStage::Cam)) => 0,
-            Some((_, flowlut_core::LookupStage::MemA)) => 1,
-            Some((_, flowlut_core::LookupStage::MemB)) | None => 2,
+            Some((_, LookupStage::Cam)) => 0,
+            Some((_, LookupStage::MemA)) => 1,
+            Some((_, LookupStage::MemB)) | None => 2,
         };
     }
     let before = simul.op_stats().mem_reads;
@@ -59,106 +61,60 @@ fn ablation_early_exit(c: &mut Criterion) {
         simul.contains(k);
     }
     let simul_reads = simul.op_stats().mem_reads - before;
-    eprintln!(
+    println!(
         "early-exit ablation: {:.3} reads/lookup (early exit) vs {:.3} (simultaneous)",
         early_reads as f64 / lookups as f64,
         simul_reads as f64 / lookups as f64,
     );
-
-    let mut group = c.benchmark_group("ablation_early_exit_host");
-    group.bench_function("early_exit_lookups", |b| {
-        b.iter(|| {
-            let mut n = 0u64;
-            for k in &resident {
-                n += u64::from(ours.lookup(k).is_some());
-            }
-            n
-        })
-    });
-    group.bench_function("simultaneous_lookups", |b| {
-        b.iter(|| {
-            let mut n = 0u64;
-            for k in &resident {
-                n += u64::from(simul.contains(k));
-            }
-            n
-        })
-    });
-    group.finish();
 }
 
 fn sim_mdesc(cfg: SimConfig, miss: f64) -> f64 {
     let mut sim = FlowLutSim::new(cfg);
     let w = MatchRateWorkload {
-        table_size: 2_000,
-        queries: 2_000,
+        table_size: scaled(2_000),
+        queries: scaled(2_000),
         match_rate: 1.0 - miss,
         seed: 9,
     };
     let set = w.build();
-    sim.preload(set.preload.iter().copied()).unwrap();
+    sim.preload(set.preload.iter().copied())
+        .expect("preload fits the default table");
     sim.run(&set.queries).mdesc_per_s
 }
 
 /// Bank selection on/off: simulated throughput at 50% miss.
-fn ablation_bank_selection(c: &mut Criterion) {
+fn bank_selection() {
     for enabled in [true, false] {
         let cfg = SimConfig {
             bank_select_enabled: enabled,
             ..SimConfig::default()
         };
         let rate = sim_mdesc(cfg, 0.5);
-        eprintln!(
+        println!(
             "bank selection {}: {rate:.2} Mdesc/s at 50% miss",
             if enabled { "ON " } else { "OFF" }
         );
     }
-    let mut group = c.benchmark_group("ablation_bank_selection_host");
-    group.sample_size(10);
-    for enabled in [true, false] {
-        group.bench_function(BenchmarkId::from_parameter(enabled), |b| {
-            b.iter(|| {
-                let cfg = SimConfig {
-                    bank_select_enabled: enabled,
-                    ..SimConfig::default()
-                };
-                sim_mdesc(cfg, 0.5)
-            })
-        });
-    }
-    group.finish();
 }
 
 /// BWr_Gen threshold sweep: burst-write grouping vs throughput at 100%
 /// miss (insert-heavy — where write bursts matter).
-fn ablation_bwr_threshold(c: &mut Criterion) {
+fn bwr_threshold() {
     for threshold in [1usize, 4, 8, 16, 32] {
         let cfg = SimConfig {
             bwr_threshold: threshold,
             ..SimConfig::default()
         };
         let rate = sim_mdesc(cfg, 1.0);
-        eprintln!("bwr_threshold {threshold:>2}: {rate:.2} Mdesc/s at 100% miss");
+        println!("bwr_threshold {threshold:>2}: {rate:.2} Mdesc/s at 100% miss");
     }
-    let mut group = c.benchmark_group("ablation_bwr_threshold_host");
-    group.sample_size(10);
-    group.bench_function("threshold_8", |b| {
-        b.iter(|| {
-            let cfg = SimConfig {
-                bwr_threshold: 8,
-                ..SimConfig::default()
-            };
-            sim_mdesc(cfg, 1.0)
-        })
-    });
-    group.finish();
 }
 
-/// Bucket size K and CAM capacity: spill behaviour of the functional
-/// table at 75% load.
-fn ablation_k_and_cam(_c: &mut Criterion) {
+/// Bucket size K: spill behaviour of the functional table at 75% load.
+fn bucket_size() {
+    let slots = scaled(8192) as u32;
     for k in [1u8, 2, 4] {
-        let buckets = 8192 / u32::from(k) / 2;
+        let buckets = slots / u32::from(k) / 2;
         let mut t = HashCamTable::new(TableConfig {
             buckets_per_mem: buckets,
             entries_per_bucket: k,
@@ -170,7 +126,7 @@ fn ablation_k_and_cam(_c: &mut Criterion) {
         for key in keys(0..n) {
             let _ = t.insert(key);
         }
-        eprintln!(
+        println!(
             "K={k}: {} of {} keys spilled to CAM at 75% load ({:.3}%)",
             t.occupancy().cam,
             n,
@@ -179,11 +135,10 @@ fn ablation_k_and_cam(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(
-    benches,
-    ablation_early_exit,
-    ablation_bank_selection,
-    ablation_bwr_threshold,
-    ablation_k_and_cam
-);
-criterion_main!(benches);
+fn main() {
+    println!("\n=== Ablations (DESIGN.md §Ablations) ===");
+    early_exit();
+    bank_selection();
+    bwr_threshold();
+    bucket_size();
+}

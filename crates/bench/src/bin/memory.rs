@@ -16,9 +16,9 @@
 //! Modes: default (full sweep), `--quick` (CI perf snapshot), `--smoke`
 //! (run-check only; numbers not meaningful).
 
-use std::io::Write as _;
+use std::io::Write;
 
-use flowlut_bench::smoke_mode;
+use flowlut_bench::{quick_mode, save_snapshot, smoke_mode};
 use flowlut_ddr3::MemoryKind;
 use flowlut_engine::{EngineConfig, EngineReport, ShardedFlowLut};
 use flowlut_traffic::workloads::MatchRateWorkload;
@@ -44,42 +44,6 @@ impl Point {
     fn holds_line_rate(&self) -> bool {
         self.report.mdesc_per_s >= LINE_RATE_MPPS
     }
-}
-
-fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// `--json-out PATH` argument, if present.
-fn json_out_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json-out" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
-
-/// Resolution order: `--json-out`, then `$FLOWLUT_RESULTS_DIR/`.
-/// Without either, only `--quick` (the mode CI snapshots and the
-/// committed trajectory uses) writes to the working directory;
-/// smoke/full runs land in `./paper-results`, so a casual `--smoke`
-/// from the repo root cannot clobber the committed `BENCH_memory.json`
-/// with not-comparable numbers.
-fn json_path(quick: bool) -> std::path::PathBuf {
-    json_out_arg().unwrap_or_else(|| {
-        let dir = std::env::var_os("FLOWLUT_RESULTS_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                if quick {
-                    std::path::PathBuf::new()
-                } else {
-                    std::path::PathBuf::from("paper-results")
-                }
-            });
-        dir.join("BENCH_memory.json")
-    })
 }
 
 fn main() {
@@ -177,32 +141,21 @@ fn main() {
         if sram_ge_ddr3 { "yes" } else { "NO" }
     );
 
-    let path = json_path(mode == "quick");
-    match write_json(&path, mode, &workload, &points, &verdicts, sram_ge_ddr3) {
-        Ok(()) => println!("(saved {})", path.display()),
-        Err(e) => {
-            eprintln!("error: could not save {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    save_snapshot("memory", mode == "quick", |f| {
+        write_json(f, mode, &workload, &points, &verdicts, sram_ge_ddr3)
+    });
 }
 
 /// Serialises the sweep by hand — the workspace has no JSON dependency,
 /// and the schema is flat enough that formatting beats vendoring one.
 fn write_json(
-    path: &std::path::Path,
+    f: &mut impl Write,
     mode: &str,
     w: &MatchRateWorkload,
     points: &[Point],
     verdicts: &[(MemoryKind, Option<usize>)],
     sram_ge_ddr3: bool,
 ) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let mut f = std::fs::File::create(path)?;
     writeln!(f, "{{")?;
     writeln!(f, "  \"bench\": \"memory\",")?;
     writeln!(f, "  \"mode\": \"{mode}\",")?;

@@ -20,10 +20,10 @@
 //! Modes: default (full sweep), `--quick` (CI perf snapshot), `--smoke`
 //! (run-check only; numbers not meaningful).
 
-use std::io::Write as _;
+use std::io::Write;
 use std::time::Instant;
 
-use flowlut_bench::smoke_mode;
+use flowlut_bench::{quick_mode, save_snapshot, smoke_mode};
 use flowlut_engine::{EngineConfig, EngineReport, ExecutionMode, ShardedFlowLut};
 use flowlut_traffic::workloads::MatchRateWorkload;
 
@@ -46,42 +46,6 @@ impl Point {
             0.0
         }
     }
-}
-
-fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// `--json-out PATH` argument, if present.
-fn json_out_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json-out" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
-
-/// Resolution order: `--json-out`, then `$FLOWLUT_RESULTS_DIR/`.
-/// Without either, only `--quick` (the mode CI snapshots and the
-/// committed trajectory uses) writes to the working directory;
-/// smoke/full runs land in `./paper-results`, so a casual `--smoke`
-/// from the repo root cannot clobber the committed `BENCH_parallel.json`
-/// with not-comparable numbers.
-fn json_path(quick: bool) -> std::path::PathBuf {
-    json_out_arg().unwrap_or_else(|| {
-        let dir = std::env::var_os("FLOWLUT_RESULTS_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                if quick {
-                    std::path::PathBuf::new()
-                } else {
-                    std::path::PathBuf::from("paper-results")
-                }
-            });
-        dir.join("BENCH_parallel.json")
-    })
 }
 
 /// Builds an engine, preloads the workload, runs it, and returns the
@@ -206,29 +170,24 @@ fn main() {
         }
     );
 
-    let path = json_path(mode == "quick");
-    match write_json(
-        &path,
-        mode,
-        &workload,
-        host_parallelism,
-        &points,
-        applicable,
-        meets,
-    ) {
-        Ok(()) => println!("(saved {})", path.display()),
-        Err(e) => {
-            eprintln!("error: could not save {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    save_snapshot("parallel", mode == "quick", |f| {
+        write_json(
+            f,
+            mode,
+            &workload,
+            host_parallelism,
+            &points,
+            applicable,
+            meets,
+        )
+    });
 }
 
 /// Serialises the sweep by hand — the workspace has no JSON dependency,
 /// and the schema is flat enough that formatting beats vendoring one.
 #[allow(clippy::too_many_arguments)]
 fn write_json(
-    path: &std::path::Path,
+    f: &mut impl Write,
     mode: &str,
     w: &MatchRateWorkload,
     host_parallelism: usize,
@@ -236,12 +195,6 @@ fn write_json(
     applicable: bool,
     meets: bool,
 ) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let mut f = std::fs::File::create(path)?;
     writeln!(f, "{{")?;
     writeln!(f, "  \"bench\": \"parallel\",")?;
     writeln!(f, "  \"mode\": \"{mode}\",")?;

@@ -14,7 +14,9 @@
 //! defeated by construction, the colliding keys spill onto the CAM
 //! overflow path, and the table keeps answering — while capacity-matched
 //! baselines visibly drop flows. The JSON records drop/overflow/expiry
-//! rates and CAM high-water occupancy per (scenario, backend) cell.
+//! rates and CAM high-water occupancy per (scenario, backend) cell, plus
+//! the simulated rate of the timed backends (`null` for functional
+//! stores, which have no simulated clock).
 //!
 //! Writes the machine-readable `BENCH_scenarios.json` consumed by the
 //! perf-snapshot CI step (`cargo xtask lint` checks its schema).
@@ -22,48 +24,12 @@
 //! Modes: default (full sweep), `--quick` (CI perf snapshot), `--smoke`
 //! (run-check only; numbers not meaningful).
 
-use std::io::Write as _;
+use std::io::Write;
 
 use flowlut::core::{SimConfig, TableConfig};
 use flowlut::scenarios::{Scenario, ScenarioReport, ScenarioRunner};
 use flowlut::{BaselineKind, Builder, FlowBackend};
-use flowlut_bench::smoke_mode;
-
-fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// `--json-out PATH` argument, if present.
-fn json_out_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json-out" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
-
-/// Resolution order: `--json-out`, then `$FLOWLUT_RESULTS_DIR/`.
-/// Without either, only `--quick` (the mode CI snapshots and the
-/// committed trajectory uses) writes to the working directory;
-/// smoke/full runs land in `./paper-results`, so a casual `--smoke`
-/// from the repo root cannot clobber the committed
-/// `BENCH_scenarios.json` with not-comparable numbers.
-fn json_path(quick: bool) -> std::path::PathBuf {
-    json_out_arg().unwrap_or_else(|| {
-        let dir = std::env::var_os("FLOWLUT_RESULTS_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                if quick {
-                    std::path::PathBuf::new()
-                } else {
-                    std::path::PathBuf::from("paper-results")
-                }
-            });
-        dir.join("BENCH_scenarios.json")
-    })
-}
+use flowlut_bench::{quick_mode, save_snapshot, smoke_mode};
 
 /// All nine backends, capacity-matched on `TableConfig::test_small`.
 fn registry() -> Vec<Box<dyn FlowBackend>> {
@@ -139,12 +105,19 @@ fn main() {
 
     println!(
         "{:>17} {:>21} {:>8} {:>9} {:>10} {:>10} {:>8} {:>12}",
-        "scenario", "backend", "offered", "resident", "drop rate", "overflow", "cam hwm", "Mdesc/s"
+        "scenario",
+        "backend",
+        "offered",
+        "resident",
+        "drop rate",
+        "overflow",
+        "cam hwm",
+        "sim Mdesc/s"
     );
     println!("{}", "-".repeat(103));
     for r in &rows {
         println!(
-            "{:>17} {:>21} {:>8} {:>9} {:>9.4} {:>10.4} {:>8} {:>12.2}",
+            "{:>17} {:>21} {:>8} {:>9} {:>9.4} {:>10.4} {:>8} {:>12}",
             r.scenario,
             r.backend,
             r.offered,
@@ -152,7 +125,8 @@ fn main() {
             r.drop_rate(),
             r.overflow_rate(),
             r.cam_high_water,
-            r.mdesc_per_s,
+            r.sim_mdesc_per_s
+                .map_or_else(|| "-".to_string(), |rate| format!("{rate:.2}")),
         );
     }
 
@@ -194,39 +168,21 @@ fn main() {
         hashcam_drop,
     );
 
-    let path = json_path(mode == "quick");
-    match write_json(
-        &path,
-        mode,
-        packets,
-        &rows,
-        cam_exercised,
-        baseline_degrades,
-    ) {
-        Ok(()) => println!("(saved {})", path.display()),
-        Err(e) => {
-            eprintln!("error: could not save {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    save_snapshot("scenarios", mode == "quick", |f| {
+        write_json(f, mode, packets, &rows, cam_exercised, baseline_degrades)
+    });
 }
 
 /// Serialises the matrix by hand — the workspace has no JSON dependency,
 /// and the schema is flat enough that formatting beats vendoring one.
 fn write_json(
-    path: &std::path::Path,
+    f: &mut impl Write,
     mode: &str,
     packets: usize,
     rows: &[ScenarioReport],
     cam_exercised: bool,
     baseline_degrades: bool,
 ) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let mut f = std::fs::File::create(path)?;
     writeln!(f, "{{")?;
     writeln!(f, "  \"bench\": \"scenarios\",")?;
     writeln!(f, "  \"mode\": \"{mode}\",")?;
@@ -239,7 +195,7 @@ fn write_json(
              \"completed\": {}, \"distinct_flows\": {}, \"resident_end\": {}, \
              \"rejected\": {}, \"cam_spills\": {}, \"expired\": {}, \"evicted\": {}, \
              \"cam_high_water\": {}, \"drop_rate\": {:.6}, \"overflow_rate\": {:.6}, \
-             \"mdesc_per_s\": {:.4}, \"timed\": {}}}{}",
+             \"sim_mdesc_per_s\": {}}}{}",
             r.scenario,
             r.backend,
             r.offered,
@@ -253,8 +209,8 @@ fn write_json(
             r.cam_high_water,
             r.drop_rate(),
             r.overflow_rate(),
-            r.mdesc_per_s,
-            r.timed,
+            r.sim_mdesc_per_s
+                .map_or_else(|| "null".to_string(), |rate| format!("{rate:.4}")),
             if i + 1 == rows.len() { "" } else { "," }
         )?;
     }

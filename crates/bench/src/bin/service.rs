@@ -21,9 +21,9 @@
 //! Modes: default (full sweep), `--quick` (CI perf snapshot), `--smoke`
 //! (run-check only; numbers not meaningful).
 
-use std::io::Write as _;
+use std::io::Write;
 
-use flowlut_bench::smoke_mode;
+use flowlut_bench::{quick_mode, save_snapshot, smoke_mode};
 use flowlut_core::{ExpiryPolicy, PressurePolicy, SimConfig, TableConfig};
 use flowlut_engine::EngineConfig;
 use flowlut_service::{FlowService, ServiceConfig};
@@ -187,41 +187,6 @@ fn churn_run(shards: usize, profile: Profile, w: &ChurnWorkload) -> Row {
     }
 }
 
-fn quick_mode() -> bool {
-    std::env::args().any(|a| a == "--quick")
-}
-
-/// `--json-out PATH` argument, if present.
-fn json_out_arg() -> Option<std::path::PathBuf> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--json-out" {
-            return args.next().map(std::path::PathBuf::from);
-        }
-    }
-    None
-}
-
-/// Resolution order: `--json-out`, then `$FLOWLUT_RESULTS_DIR/`.
-/// Without either, only `--quick` (the mode the committed snapshot
-/// uses) writes to the working directory; smoke/full runs land in
-/// `./paper-results`, so a casual `--smoke` from the repo root cannot
-/// clobber the committed `BENCH_service.json`.
-fn json_path(quick: bool) -> std::path::PathBuf {
-    json_out_arg().unwrap_or_else(|| {
-        let dir = std::env::var_os("FLOWLUT_RESULTS_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| {
-                if quick {
-                    std::path::PathBuf::new()
-                } else {
-                    std::path::PathBuf::from("paper-results")
-                }
-            });
-        dir.join("BENCH_service.json")
-    })
-}
-
 fn main() {
     let (mode, workload) = if smoke_mode() {
         (
@@ -327,31 +292,20 @@ fn main() {
         if meets { "met" } else { "NOT met" }
     );
 
-    let path = json_path(mode == "quick");
-    match write_json(&path, mode, &workload, &rows, meets) {
-        Ok(()) => println!("(saved {})", path.display()),
-        Err(e) => {
-            eprintln!("error: could not save {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    save_snapshot("service", mode == "quick", |f| {
+        write_json(f, mode, &workload, &rows, meets)
+    });
 }
 
 /// Serialises the sweep by hand — the workspace has no JSON dependency,
 /// and the schema is flat enough that formatting beats vendoring one.
 fn write_json(
-    path: &std::path::Path,
+    f: &mut impl Write,
     mode: &str,
     w: &ChurnWorkload,
     rows: &[Row],
     meets: bool,
 ) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let mut f = std::fs::File::create(path)?;
     writeln!(f, "{{")?;
     writeln!(f, "  \"bench\": \"service\",")?;
     writeln!(f, "  \"mode\": \"{mode}\",")?;

@@ -11,17 +11,24 @@
 //! | `fig3` | Figure 3 — DQ bus utilization vs burst count |
 //! | `fig6` | Figure 6 — new-flow ratio vs packet window |
 //! | `discussion` | §V-B — 40 GbE feasibility and product comparison |
-//! | `probe` | development calibration probe (not a paper artefact) |
+//! | `multipath` | future work: multi-path multi-hashing study |
+//! | `ablations` | DESIGN.md §Ablations: early exit, bank selection, BWr_Gen threshold, bucket size K |
 //! | `engine` | beyond the paper: multi-channel scaling sweep, writes `BENCH_engine.json` |
+//! | `parallel` | beyond the paper: threaded vs inline shard execution, writes `BENCH_parallel.json` |
+//! | `memory` | beyond the paper: memory-technology headroom, writes `BENCH_memory.json` |
+//! | `service` | beyond the paper: sustained churn through the flow service, writes `BENCH_service.json` |
+//! | `scenarios` | beyond the paper: scenario matrix over every backend, writes `BENCH_scenarios.json` |
 //!
-//! Criterion benches under `benches/` cover the functional table, the
-//! baselines, the ablations DESIGN.md calls out, and the multi-channel
-//! engine.
+//! The bins report simulated results; the one host-clock figure among
+//! them is `parallel`'s threaded-over-inline speedup. What the Rust code
+//! costs to run, end to end and per layer, is measured by the
+//! `hostbench` package at the repository root.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::fmt::Display;
+use std::path::PathBuf;
 
 /// One row of a paper-vs-measured comparison.
 #[derive(Debug, Clone)]
@@ -55,11 +62,71 @@ impl Row {
 }
 
 /// True when the binary was invoked with `--smoke`: CI smoke mode, where
-/// every experiment runs on a drastically scaled-down workload so all
-/// eight paper-artefact binaries can be run-checked in seconds. Output
-/// in smoke mode is *not* comparable to the paper.
+/// every experiment runs on a drastically scaled-down workload so every
+/// bin can be run-checked in seconds. Output in smoke mode is *not*
+/// comparable to the paper.
 pub fn smoke_mode() -> bool {
     std::env::args().any(|a| a == "--smoke")
+}
+
+/// True when the binary was invoked with `--quick`: the mode the
+/// committed `BENCH_*.json` snapshots and CI's perf-snapshot job use.
+pub fn quick_mode() -> bool {
+    std::env::args().any(|a| a == "--quick")
+}
+
+/// Where `BENCH_<name>.json` goes; see [`save_snapshot`].
+fn json_path(name: &str, quick: bool) -> PathBuf {
+    let mut args = std::env::args();
+    while let Some(a) = args.next() {
+        if a == "--json-out" {
+            if let Some(path) = args.next() {
+                return PathBuf::from(path);
+            }
+        }
+    }
+    let dir = std::env::var_os("FLOWLUT_RESULTS_DIR")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| {
+            if quick {
+                PathBuf::new()
+            } else {
+                PathBuf::from("paper-results")
+            }
+        });
+    dir.join(format!("BENCH_{name}.json"))
+}
+
+/// Writes the `BENCH_<name>.json` perf snapshot through `write`,
+/// creating the file's directory first.
+///
+/// Path resolution order: `--json-out PATH`, then
+/// `$FLOWLUT_RESULTS_DIR/`. Without either, only `--quick` writes to the
+/// working directory; smoke/full runs land in `./paper-results` with
+/// the CSVs, so a casual `--smoke` from the repo root cannot clobber a
+/// committed snapshot with not-comparable numbers.
+///
+/// Prints the saved path. On an I/O error, reports it and exits with
+/// status 1: a sweep whose snapshot is missing has failed.
+pub fn save_snapshot(
+    name: &str,
+    quick: bool,
+    write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) {
+    let path = json_path(name, quick);
+    let result = path
+        .parent()
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::File::create(&path))
+        .and_then(|mut f| write(&mut f));
+    match result {
+        Ok(()) => println!("(saved {})", path.display()),
+        Err(e) => {
+            eprintln!("error: could not save {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Scales a workload size down in smoke mode (×1/100, floor 64),

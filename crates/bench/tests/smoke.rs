@@ -1,9 +1,9 @@
 //! CI smoke tests for the paper-artefact harness: every bench binary is
 //! executed in `--smoke` mode (drastically scaled-down workloads), so
-//! all 10 bin targets (8 paper artefacts + the multi-channel engine
-//! sweep + the threaded wall-clock sweep) are run-checked — not just compiled — on every `cargo test`.
-//! Each test asserts a successful exit and the report heading that
-//! proves the artefact was actually constructed.
+//! every `[[bin]]` target in this crate's manifest is run-checked — not
+//! just compiled — on every `cargo test`. Each test asserts a successful
+//! exit and the report heading that proves the artefact was actually
+//! constructed; `every_bin_has_a_smoke_case` keeps the list complete.
 
 use std::process::Command;
 
@@ -60,8 +60,8 @@ fn discussion_smoke() {
 }
 
 #[test]
-fn probe_smoke() {
-    run_smoke(env!("CARGO_BIN_EXE_probe"), "probe");
+fn ablations_smoke() {
+    run_smoke(env!("CARGO_BIN_EXE_ablations"), "Ablations");
 }
 
 #[test]
@@ -77,4 +77,46 @@ fn engine_smoke() {
 #[test]
 fn parallel_smoke() {
     run_smoke(env!("CARGO_BIN_EXE_parallel"), "Threaded shard execution");
+}
+
+#[test]
+fn memory_smoke() {
+    run_smoke(
+        env!("CARGO_BIN_EXE_memory"),
+        "Memory-technology headroom study",
+    );
+}
+
+#[test]
+fn service_smoke() {
+    run_smoke(env!("CARGO_BIN_EXE_service"), "Flow service");
+}
+
+#[test]
+fn scenarios_smoke() {
+    run_smoke(env!("CARGO_BIN_EXE_scenarios"), "Scenario matrix");
+}
+
+/// Every `[[bin]]` in the manifest must have a smoke case above, so a
+/// new bin cannot ship without being run-checked.
+#[test]
+fn every_bin_has_a_smoke_case() {
+    let manifest = include_str!("../Cargo.toml");
+    let this_file = include_str!("smoke.rs");
+    let mut lines = manifest.lines();
+    let mut bins = Vec::new();
+    while let Some(line) = lines.next() {
+        if line.trim() == "[[bin]]" {
+            let name = lines
+                .find_map(|l| l.trim().strip_prefix("name = "))
+                .expect("every [[bin]] has a name");
+            bins.push(name.trim_matches('"'));
+        }
+    }
+    assert!(!bins.is_empty(), "no [[bin]] targets parsed");
+    let missing: Vec<_> = bins
+        .iter()
+        .filter(|bin| !this_file.contains(&format!("CARGO_BIN_EXE_{bin}\")")))
+        .collect();
+    assert!(missing.is_empty(), "bins without a smoke case: {missing:?}");
 }

@@ -11,8 +11,8 @@
 //! One generic [`ScenarioRunner`] executes any scenario against any
 //! `dyn FlowBackend` — the paper's functional table, the cycle-stepped
 //! prototype, the sharded engine, and every related-work baseline —
-//! through the typed `Session` API, recording throughput,
-//! drop/overflow/expiry rates and CAM high-water occupancy into a
+//! through the typed `Session` API, recording simulated throughput
+//! (timed backends), drop/overflow/expiry rates and CAM high-water occupancy into a
 //! [`ScenarioReport`]. Generated streams are plain
 //! `flowlut_traffic::PacketDescriptor` vectors, so they replay to disk
 //! via `flowlut_traffic::trace_io` and every run is reproducible from a

@@ -11,7 +11,6 @@
 //! uniformly.
 
 use std::collections::HashSet;
-use std::time::Instant;
 
 use flowlut_core::backend::{FlowBackend, Session};
 use flowlut_traffic::PacketDescriptor;
@@ -46,11 +45,11 @@ pub struct ScenarioReport {
     /// (timed backends only; functional stores report 0 here and count
     /// spills in [`cam_spills`](Self::cam_spills)).
     pub cam_high_water: u64,
-    /// Throughput in million descriptors per second. Simulated-time
-    /// rate when [`timed`](Self::timed); wall-clock rate otherwise.
-    pub mdesc_per_s: f64,
-    /// Whether the backend ran under the cycle-stepped session API.
-    pub timed: bool,
+    /// Simulated throughput in million descriptors per second of
+    /// modelled hardware time, when the backend ran under the
+    /// cycle-stepped session API; `None` for functional stores, which
+    /// have no simulated clock.
+    pub sim_mdesc_per_s: Option<f64>,
 }
 
 impl ScenarioReport {
@@ -137,17 +136,14 @@ impl ScenarioRunner {
                 expired: run.stats.expired_ttl,
                 evicted: run.stats.pressure_evicted,
                 cam_high_water,
-                mdesc_per_s: run.mdesc_per_s,
-                timed: true,
+                sim_mdesc_per_s: Some(run.mdesc_per_s),
             }
         } else {
-            let start = Instant::now();
             for d in descs {
                 // Rejections are the measurement, not an error: the
                 // report's drop rate comes from the op-stats delta.
                 let _ = backend.insert(d.key);
             }
-            let elapsed = start.elapsed().as_secs_f64();
             ScenarioReport {
                 scenario: name.to_string(),
                 backend: backend_name,
@@ -160,12 +156,7 @@ impl ScenarioRunner {
                 expired: 0,
                 evicted: 0,
                 cam_high_water: 0,
-                mdesc_per_s: if elapsed > 0.0 {
-                    descs.len() as f64 / elapsed / 1.0e6
-                } else {
-                    0.0
-                },
-                timed: false,
+                sim_mdesc_per_s: None,
             }
         };
 
@@ -192,12 +183,11 @@ mod tests {
         assert_eq!(r.backend, "hashcam (this paper)");
         assert_eq!(r.offered, 1_000);
         assert_eq!(r.completed, 1_000);
-        assert!(!r.timed);
+        assert!(r.sim_mdesc_per_s.is_none(), "no simulated clock");
         assert!(r.distinct_flows <= 200);
         assert_eq!(r.resident_end, r.distinct_flows, "well within capacity");
         assert_eq!(r.rejected, 0);
         assert_eq!(r.drop_rate(), 0.0);
-        assert!(r.mdesc_per_s > 0.0);
     }
 
     #[test]
@@ -205,10 +195,12 @@ mod tests {
         let scenario = Scenario::new("churn", 5).churn(100, 0.05, 800);
         let mut sim = FlowLutSim::new(SimConfig::test_small());
         let r = ScenarioRunner::new().run(&scenario, &mut sim);
-        assert!(r.timed);
         assert_eq!(r.offered, 800);
         assert_eq!(r.completed, 800, "drained sessions resolve everything");
-        assert!(r.mdesc_per_s > 0.0, "simulated-time throughput");
+        assert!(
+            r.sim_mdesc_per_s.is_some_and(|rate| rate > 0.0),
+            "simulated-time throughput"
+        );
     }
 
     #[test]
@@ -228,7 +220,7 @@ mod tests {
         let scenario = Scenario::new("collide-timed", 22).adversarial_for(&cfg, 24, 4, 1);
         let mut sim = FlowLutSim::new(SimConfig::test_small());
         let r = ScenarioRunner::new().run(&scenario, &mut sim);
-        assert!(r.timed);
+        assert!(r.sim_mdesc_per_s.is_some());
         assert!(r.cam_high_water > 0, "CAM occupancy never observed");
     }
 

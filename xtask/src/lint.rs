@@ -101,10 +101,10 @@ pub fn non_test_lines(src: &str) -> Vec<(usize, &str)> {
 }
 
 /// Whether `path` (repo-relative, `/`-separated) is test code by
-/// location: an integration-test tree, a bench tree, or a path-based
-/// unit-test module (`…/tests.rs`).
+/// location: an integration-test tree or a path-based unit-test module
+/// (`…/tests.rs`).
 pub fn is_test_file(path: &str) -> bool {
-    path.contains("/tests/") || path.contains("/benches/") || path.ends_with("/tests.rs")
+    path.contains("/tests/") || path.ends_with("/tests.rs")
 }
 
 /// `crate-attrs`: a first-party crate root must forbid unsafe code and
@@ -578,7 +578,7 @@ fn required_row_keys(bench: &str) -> &'static [&'static str] {
         "scenarios" => &[
             "scenario",
             "backend",
-            "mdesc_per_s",
+            "sim_mdesc_per_s",
             "drop_rate",
             "overflow_rate",
             "cam_spills",
@@ -834,7 +834,7 @@ mod tests {
             "packets_per_stage": 3000,
             "acceptance_adversarial_cam_exercised": true,
             "results": [{"scenario": "adversarial-flood",
-                "backend": "hashcam (this paper)", "mdesc_per_s": 1.8,
+                "backend": "hashcam (this paper)", "sim_mdesc_per_s": null,
                 "drop_rate": 0.0, "cam_spills": 16,
                 "cam_high_water": 0}]}"#;
         let v = check_bench_schema("BENCH_scenarios.json", text);
