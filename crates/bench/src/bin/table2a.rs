@@ -25,7 +25,7 @@ fn run_row(pattern: HashPattern, policy: LoadBalancerPolicy) -> (f64, f64) {
             ..SimConfig::default()
         };
         let buckets = cfg.table.buckets_per_mem;
-        let banks = cfg.geometry.banks;
+        let banks = cfg.memory.banks();
         let mut sim = FlowLutSim::new(cfg);
         let w = HashPatternWorkload {
             pattern,

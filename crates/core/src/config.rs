@@ -1,9 +1,7 @@
 //! Configuration of the timed flow-LUT simulator.
 
 use flowlut_ddr3::model::MemoryModel;
-use flowlut_ddr3::{
-    AddressMapping, ControllerConfig, Geometry, MemorySpec, PagePolicy, TimingParams, TimingPreset,
-};
+use flowlut_ddr3::{Geometry, MemorySpec, TimingPreset};
 
 use crate::error::ConfigError;
 use crate::table::TableConfig;
@@ -119,26 +117,12 @@ impl PressurePolicy {
 pub struct SimConfig {
     /// Table sizing and hashing.
     pub table: TableConfig,
-    /// DDR3 timing of each memory set (prototype: DDR3-1600, 800 MHz
-    /// memory clock = 4 × the 200 MHz system clock).
-    pub timing: TimingParams,
-    /// Geometry of each memory set.
-    pub geometry: Geometry,
-    /// Bucket-address to bank/row/column mapping. The default
-    /// `RowColBank` places consecutive buckets in consecutive banks, the
-    /// interleave the paper's Bank Selector exploits.
-    pub mapping: AddressMapping,
-    /// Memory-clock cycles per system-clock cycle (prototype: 4,
-    /// quarter-rate user logic).
-    pub clock_ratio: u32,
     /// First-path selection policy.
     pub load_balancer: LoadBalancerPolicy,
     /// Ablation switch: `false` serialises each path's memory requests
     /// one at a time (no bank-parallelism), isolating the Bank Selector's
     /// contribution.
     pub bank_select_enabled: bool,
-    /// Same-direction grouping limit forwarded to the memory controller.
-    pub group_limit: u32,
     /// Memory-controller queue capacity per path.
     pub controller_queue: usize,
     /// Pending-read capacity per path DLU (requests held before the
@@ -160,11 +144,9 @@ pub struct SimConfig {
     pub refresh_enabled: bool,
     /// Maximum descriptors in flight past the sequencer (pipeline depth).
     pub max_in_flight: usize,
-    /// Which memory technology backs each path. The default
-    /// ([`MemorySpec::Ddr3`]) builds the paper's DDR3 controller from
-    /// the `timing`/`geometry`/`mapping`/`clock_ratio` fields above —
-    /// byte-identical to the pre-trait behaviour; the other variants
-    /// carry their own parameters and ignore those legacy fields.
+    /// Which memory technology backs each path, with its parameters
+    /// (prototype: DDR3-1600, 800 MHz memory clock = 4 × the 200 MHz
+    /// system clock, 512 MB per memory set).
     pub memory: MemorySpec,
     /// Engine-level idle-TTL flow aging (`None` disables it — the
     /// default, preserving bounded-run behaviour bit-for-bit).
@@ -179,13 +161,8 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             table: TableConfig::prototype_8m(),
-            timing: TimingPreset::Ddr3_1600.params(),
-            geometry: Geometry::prototype_512mb(),
-            mapping: AddressMapping::RowColBank,
-            clock_ratio: 4,
             load_balancer: LoadBalancerPolicy::default(),
             bank_select_enabled: true,
-            group_limit: 16,
             controller_queue: 64,
             dlu_queue_depth: 64,
             sequencer_depth: 64,
@@ -196,7 +173,7 @@ impl Default for SimConfig {
             input_rate_mhz: 100.0,
             refresh_enabled: true,
             max_in_flight: 256,
-            memory: MemorySpec::Ddr3,
+            memory: MemorySpec::default(),
             expiry: None,
             pressure: None,
         }
@@ -209,12 +186,15 @@ impl SimConfig {
     pub fn test_small() -> Self {
         SimConfig {
             table: TableConfig::test_small(),
-            geometry: Geometry {
-                banks: 8,
-                rows: 64,
-                cols: 32,
-                bus_width_bits: 32,
-                burst_length: 8,
+            memory: MemorySpec::Ddr3 {
+                timing: TimingPreset::Ddr3_1600,
+                geometry: Geometry {
+                    banks: 8,
+                    rows: 64,
+                    cols: 32,
+                    bus_width_bits: 32,
+                    burst_length: 8,
+                },
             },
             refresh_enabled: false,
             ..SimConfig::default()
@@ -224,11 +204,7 @@ impl SimConfig {
     /// System-clock frequency in MHz implied by the selected memory's
     /// clock and ratio (DDR3 prototype: 800 / 4 = 200 MHz).
     pub fn sys_clock_mhz(&self) -> f64 {
-        match &self.memory {
-            MemorySpec::Ddr3 => self.timing.clock_mhz() / f64::from(self.clock_ratio),
-            MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.clock_mhz() / f64::from(p.clock_ratio),
-            MemorySpec::Sram(p) => p.clock_mhz(),
-        }
+        self.memory.clock_mhz() / f64::from(self.memory.ticks_per_sys())
     }
 
     /// System-clock period in nanoseconds.
@@ -236,48 +212,26 @@ impl SimConfig {
         1000.0 / self.sys_clock_mhz()
     }
 
-    /// Bytes per memory burst of the selected memory model (DDR3: from
-    /// `geometry`; the other models carry their own burst size).
+    /// Bytes per memory burst of the selected memory model.
     pub fn mem_burst_bytes(&self) -> usize {
-        match &self.memory {
-            MemorySpec::Ddr3 => self.geometry.burst_bytes(),
-            MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.burst_bytes(),
-            MemorySpec::Sram(p) => p.burst_bytes,
-        }
+        self.memory.burst_bytes()
     }
 
     /// Burst-aligned capacity of each path's memory.
     pub fn mem_total_bursts(&self) -> u64 {
-        match &self.memory {
-            MemorySpec::Ddr3 => self.geometry.total_bursts(),
-            MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.total_bursts(),
-            MemorySpec::Sram(p) => p.total_bursts,
-        }
+        self.memory.total_bursts()
     }
 
     /// Memory-clock cycles the simulator steps each model per system
     /// cycle.
     pub fn mem_ticks_per_sys(&self) -> u32 {
-        self.memory.ticks_per_sys(self.clock_ratio)
+        self.memory.ticks_per_sys()
     }
 
     /// Builds one path's memory model from this configuration.
     pub fn build_memory(&self) -> Box<dyn MemoryModel> {
-        // The legacy ControllerConfig is exactly what the simulator
-        // handed MemoryController before the trait extraction; the
-        // non-DDR3 variants consume only its queue capacity and
-        // refresh switch.
-        self.memory.build(ControllerConfig {
-            timing: self.timing,
-            geometry: self.geometry,
-            mapping: self.mapping,
-            page_policy: PagePolicy::Closed,
-            queue_capacity: self.controller_queue,
-            group_limit: self.group_limit,
-            refresh_enabled: self.refresh_enabled,
-            cmd_interval: u64::from(self.clock_ratio),
-            ..ControllerConfig::default()
-        })
+        self.memory
+            .build(self.controller_queue, self.refresh_enabled)
     }
 
     /// Validates the configuration.
@@ -289,14 +243,9 @@ impl SimConfig {
     /// exceeds the system clock, or queue depths are zero.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.table.validate()?;
-        self.timing.validate()?;
-        self.geometry.validate()?;
         self.memory
             .validate()
             .map_err(|e| ConfigError::new(format!("memory spec: {e}")))?;
-        if self.clock_ratio == 0 {
-            return Err(ConfigError::new("clock_ratio must be non-zero"));
-        }
         let burst_bytes = self.mem_burst_bytes();
         let bursts_needed = u64::from(self.table.buckets_per_mem)
             * u64::from(self.table.bursts_per_bucket(burst_bytes));
@@ -397,7 +346,20 @@ mod tests {
             };
             c.validate()
                 .unwrap_or_else(|e| panic!("{}: {e}", kind.name()));
-            assert!(c.sys_clock_mhz() > 0.0);
+            // (system clock MHz, memory ticks per system cycle, banks)
+            let (sys_mhz, ticks, banks) = match kind {
+                MemoryKind::Ddr3 => (200.0, 4, 8),
+                MemoryKind::Ddr4 => (1.0e6 / 833.0 / 6.0, 6, 16),
+                MemoryKind::Hbm2 => (200.0, 5, 8 * 16),
+                MemoryKind::Sram => (200.0, 1, 1),
+            };
+            assert!(
+                (c.sys_clock_mhz() - sys_mhz).abs() < 1e-9,
+                "{}",
+                kind.name()
+            );
+            assert_eq!(c.mem_ticks_per_sys(), ticks, "{}", kind.name());
+            assert_eq!(c.memory.banks(), banks, "{}", kind.name());
             assert_eq!(c.mem_burst_bytes(), 32, "{}", kind.name());
             let m = c.build_memory();
             assert_eq!(m.name(), kind.name());
@@ -425,6 +387,16 @@ mod tests {
         let mut p = DramParams::ddr4_2400();
         p.t_ccd_l = 0;
         c.memory = MemorySpec::Ddr4(p);
+        assert!(c.validate().is_err());
+        let ddr3 = MemorySpec::Ddr3 {
+            timing: TimingPreset::Ddr3_1600,
+            geometry: Geometry {
+                banks: 0,
+                ..Geometry::prototype_512mb()
+            },
+        };
+        assert!(ddr3.validate().is_err());
+        c.memory = ddr3;
         assert!(c.validate().is_err());
     }
 

@@ -164,7 +164,7 @@ impl ResourceModel {
         // Per-path DLUs: bank queues + filter state.
         let req_width = 64u64; // request descriptor width in queue bits
         let bank_queue_bits =
-            u64::from(cfg.geometry.banks) * cfg.dlu_queue_depth as u64 * req_width;
+            u64::from(cfg.memory.banks()) * cfg.dlu_queue_depth as u64 * req_width;
         lines.push(ResourceLine {
             component: "DLUs (2x: bank selector, request filter, mem ctrl)".into(),
             cost: ComponentCost {
@@ -296,6 +296,26 @@ mod tests {
         let big = model.estimate(&cfg);
         assert!(big.total.alms > small.total.alms);
         assert!(big.total.memory_bits > small.total.memory_bits);
+    }
+
+    #[test]
+    fn dlu_bank_queues_follow_the_selected_memory() {
+        // The DLU keeps one request queue per bank, so an HBM2 shard
+        // (8 pseudo-channels x 16 banks) needs 16x the DDR3 queue bits.
+        let dlu_bits = |memory| {
+            let cfg = SimConfig {
+                memory,
+                ..SimConfig::default()
+            };
+            let est = ResourceModel::default().estimate(&cfg);
+            let dlu = est.lines.iter().find(|l| l.component.starts_with("DLUs"));
+            dlu.map(|l| l.cost.memory_bits).unwrap_or_default()
+        };
+        let per_bank = 2 * SimConfig::default().dlu_queue_depth as u64 * 64;
+        let ddr3 = dlu_bits(flowlut_ddr3::MemoryKind::Ddr3.default_spec());
+        let hbm2 = dlu_bits(flowlut_ddr3::MemoryKind::Hbm2.default_spec());
+        assert_eq!(ddr3, 8 * per_bank);
+        assert_eq!(hbm2, 8 * 16 * per_bank);
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use crate::address::{AddressMapping, Geometry, MemAddress};
 use crate::controller::{ControllerConfig, MemRequest, MemoryController, PagePolicy};
+use crate::model::MemoryModel;
 use crate::timing::TimingParams;
 
 /// Per-direction-switch overhead in command-clock cycles, split into the

@@ -28,6 +28,7 @@ use std::collections::VecDeque;
 use crate::address::{AddressMapping, Geometry, MemAddress};
 use crate::device::{Command, Ddr3Device};
 use crate::error::EnqueueError;
+use crate::model::{MemStats, MemoryModel};
 use crate::stats::ControllerStats;
 use crate::storage::SparseStorage;
 use crate::timing::TimingParams;
@@ -245,12 +246,6 @@ impl MemoryController {
         }
     }
 
-    /// Current controller cycle.
-    #[inline]
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
     /// Configuration in force.
     #[inline]
     pub fn config(&self) -> &ControllerConfig {
@@ -267,148 +262,6 @@ impl MemoryController {
     #[inline]
     pub fn stats(&self) -> &ControllerStats {
         &self.stats
-    }
-
-    /// Number of requests queued but not yet issued.
-    #[inline]
-    pub fn queued_len(&self) -> usize {
-        self.queued
-    }
-
-    /// Number of issued requests whose data phase has not finished.
-    #[inline]
-    pub fn in_flight_len(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    /// `true` when no work is queued or in flight.
-    pub fn is_drained(&self) -> bool {
-        self.queued == 0 && self.in_flight.is_empty()
-    }
-
-    /// Direct access to the backing storage, bypassing timing — used to
-    /// preload table contents without paying simulated cycles.
-    pub fn storage_mut(&mut self) -> &mut SparseStorage {
-        &mut self.storage
-    }
-
-    /// Read-only view of the backing storage.
-    pub fn storage(&self) -> &SparseStorage {
-        &self.storage
-    }
-
-    /// Queues a request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EnqueueError`] when the controller queue is at capacity;
-    /// the caller should retry on a later cycle (back-pressure).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address is outside the geometry, if a write carries
-    /// anything other than exactly one burst of data, or if a read
-    /// carries data — these are caller bugs, not runtime conditions.
-    pub fn enqueue(&mut self, req: MemRequest) -> Result<(), EnqueueError> {
-        assert!(
-            req.addr < self.cfg.geometry.total_bursts(),
-            "address {} out of range",
-            req.addr
-        );
-        match (req.kind, &req.data) {
-            (AccessKind::Write, Some(d)) => assert_eq!(
-                d.len(),
-                self.cfg.geometry.burst_bytes(),
-                "write payload must be exactly one burst"
-            ),
-            (AccessKind::Write, None) => panic!("write request without data"),
-            (AccessKind::Read, Some(_)) => panic!("read request carries data"),
-            (AccessKind::Read, None) => {}
-        }
-        if self.queued >= self.cfg.queue_capacity {
-            self.stats.rejected += 1;
-            return Err(EnqueueError {
-                id: req.id,
-                capacity: self.cfg.queue_capacity,
-            });
-        }
-        let addr = self.cfg.mapping.decompose(&self.cfg.geometry, req.addr);
-        self.queues[addr.bank as usize].push_back(QueuedReq {
-            req,
-            addr,
-            enqueued_at: self.now,
-        });
-        self.queued += 1;
-        self.stats.accepted += 1;
-        Ok(())
-    }
-
-    /// Advances one controller cycle, returning any completions.
-    ///
-    /// At most one command issues per cycle (single command bus).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scheduler makes no progress for an implausibly long
-    /// time while work is queued (a deadlock would otherwise hang the
-    /// simulation silently).
-    pub fn tick(&mut self) -> Vec<Completion> {
-        self.now += 1;
-        let done = self.collect_completions();
-
-        if self.queued == 0 && self.in_flight.is_empty() {
-            self.stats.idle_cycles += 1;
-            self.last_progress = self.now;
-        }
-
-        if self.cfg.refresh_enabled
-            && !self.refresh_in_progress
-            && self.now >= self.next_refresh_due
-        {
-            self.refresh_in_progress = true;
-        }
-
-        let cmd_slot_open = self.now >= self.next_cmd_at;
-        if self.refresh_in_progress {
-            if cmd_slot_open {
-                self.service_refresh();
-            }
-        } else if cmd_slot_open && self.try_issue() {
-            self.next_cmd_at = self.now + self.cfg.cmd_interval;
-            self.last_progress = self.now;
-        } else if self.queued > 0 {
-            self.stats.stall_cycles += 1;
-            let limit = 20 * self.cfg.timing.t_rc + self.cfg.timing.t_rfc + self.cfg.timing.t_refi;
-            assert!(
-                self.now - self.last_progress < limit,
-                "controller made no progress for {} cycles with {} requests queued: scheduler deadlock",
-                self.now - self.last_progress,
-                self.queued
-            );
-        }
-
-        done
-    }
-
-    /// Runs until every queued request completes or `max_cycles` elapse.
-    /// Returns all completions produced. Useful in tests and benches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the budget is exhausted before draining.
-    pub fn drain(&mut self, max_cycles: u64) -> Vec<Completion> {
-        let mut out = Vec::new();
-        for _ in 0..max_cycles {
-            out.extend(self.tick());
-            if self.is_drained() {
-                return out;
-            }
-        }
-        panic!(
-            "controller failed to drain within {max_cycles} cycles ({} queued, {} in flight)",
-            self.queued,
-            self.in_flight.len()
-        );
     }
 
     fn collect_completions(&mut self) -> Vec<Completion> {
@@ -643,6 +496,126 @@ impl MemoryController {
             },
             done_at,
         });
+    }
+}
+
+impl MemoryModel for MemoryController {
+    fn name(&self) -> &'static str {
+        "ddr3"
+    }
+
+    #[inline]
+    fn now(&self) -> u64 {
+        self.now
+    }
+
+    /// # Panics
+    ///
+    /// Panics if the address is outside the geometry, if a write carries
+    /// anything other than exactly one burst of data, or if a read
+    /// carries data — these are caller bugs, not runtime conditions.
+    fn enqueue(&mut self, req: MemRequest) -> Result<(), EnqueueError> {
+        assert!(
+            req.addr < self.cfg.geometry.total_bursts(),
+            "address {} out of range",
+            req.addr
+        );
+        match (req.kind, &req.data) {
+            (AccessKind::Write, Some(d)) => assert_eq!(
+                d.len(),
+                self.cfg.geometry.burst_bytes(),
+                "write payload must be exactly one burst"
+            ),
+            (AccessKind::Write, None) => panic!("write request without data"),
+            (AccessKind::Read, Some(_)) => panic!("read request carries data"),
+            (AccessKind::Read, None) => {}
+        }
+        if self.queued >= self.cfg.queue_capacity {
+            self.stats.rejected += 1;
+            return Err(EnqueueError {
+                id: req.id,
+                capacity: self.cfg.queue_capacity,
+            });
+        }
+        let addr = self.cfg.mapping.decompose(&self.cfg.geometry, req.addr);
+        self.queues[addr.bank as usize].push_back(QueuedReq {
+            req,
+            addr,
+            enqueued_at: self.now,
+        });
+        self.queued += 1;
+        self.stats.accepted += 1;
+        Ok(())
+    }
+
+    /// At most one command issues per cycle (single command bus).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scheduler makes no progress for an implausibly long
+    /// time while work is queued (a deadlock would otherwise hang the
+    /// simulation silently).
+    fn tick(&mut self) -> Vec<Completion> {
+        self.now += 1;
+        let done = self.collect_completions();
+
+        if self.queued == 0 && self.in_flight.is_empty() {
+            self.stats.idle_cycles += 1;
+            self.last_progress = self.now;
+        }
+
+        if self.cfg.refresh_enabled
+            && !self.refresh_in_progress
+            && self.now >= self.next_refresh_due
+        {
+            self.refresh_in_progress = true;
+        }
+
+        let cmd_slot_open = self.now >= self.next_cmd_at;
+        if self.refresh_in_progress {
+            if cmd_slot_open {
+                self.service_refresh();
+            }
+        } else if cmd_slot_open && self.try_issue() {
+            self.next_cmd_at = self.now + self.cfg.cmd_interval;
+            self.last_progress = self.now;
+        } else if self.queued > 0 {
+            self.stats.stall_cycles += 1;
+            let limit = 20 * self.cfg.timing.t_rc + self.cfg.timing.t_rfc + self.cfg.timing.t_refi;
+            assert!(
+                self.now - self.last_progress < limit,
+                "controller made no progress for {} cycles with {} requests queued: scheduler deadlock",
+                self.now - self.last_progress,
+                self.queued
+            );
+        }
+
+        done
+    }
+
+    #[inline]
+    fn queued_len(&self) -> usize {
+        self.queued
+    }
+
+    #[inline]
+    fn in_flight_len(&self) -> usize {
+        self.in_flight.len()
+    }
+
+    fn storage(&self) -> &SparseStorage {
+        &self.storage
+    }
+
+    fn storage_mut(&mut self) -> &mut SparseStorage {
+        &mut self.storage
+    }
+
+    fn mem_stats(&self) -> MemStats {
+        MemStats {
+            controller: self.stats,
+            device: *self.device.stats(),
+        }
     }
 }
 

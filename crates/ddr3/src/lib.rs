@@ -42,7 +42,7 @@
 //! ## Example
 //!
 //! ```
-//! use flowlut_ddr3::{MemoryController, ControllerConfig, MemRequest};
+//! use flowlut_ddr3::{ControllerConfig, MemRequest, MemoryController, MemoryModel};
 //! use flowlut_ddr3::timing::TimingPreset;
 //!
 //! let mut ctrl = MemoryController::new(ControllerConfig {

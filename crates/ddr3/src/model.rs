@@ -14,21 +14,22 @@
 //!
 //! Implementations:
 //!
-//! * [`MemoryController`] — the paper's cycle-level DDR3 model
-//!   (reference behaviour; the legacy path is byte-identical through
-//!   the trait).
+//! * [`MemoryController`] — the paper's cycle-level DDR3 model, the
+//!   reference behaviour.
 //! * [`GroupedDramModel`] — a
 //!   closed-page, bank-grouped, multi-channel DRAM engine configured as
 //!   DDR4-2400 or an HBM2-style stack via [`DramParams`].
 //! * [`SramModel`] — an idealized fixed-latency
 //!   SRAM bound.
 
-use crate::controller::{Completion, ControllerConfig, MemRequest, MemoryController};
+use crate::address::{AddressMapping, Geometry};
+use crate::controller::{Completion, ControllerConfig, MemRequest, MemoryController, PagePolicy};
 use crate::dram::{DramParams, GroupedDramModel};
 use crate::error::{ConfigError, EnqueueError};
 use crate::sram::{SramModel, SramParams};
 use crate::stats::{ControllerStats, DeviceStats};
 use crate::storage::SparseStorage;
+use crate::timing::TimingPreset;
 
 /// Unified statistics of one memory model: scheduler-level counters
 /// plus device-level command counters. Models without a command-level
@@ -123,61 +124,12 @@ pub trait MemoryModel: std::fmt::Debug + Send {
     fn mem_stats(&self) -> MemStats;
 }
 
-impl MemoryModel for MemoryController {
-    fn name(&self) -> &'static str {
-        "ddr3"
-    }
-
-    fn now(&self) -> u64 {
-        MemoryController::now(self)
-    }
-
-    fn enqueue(&mut self, req: MemRequest) -> Result<(), EnqueueError> {
-        MemoryController::enqueue(self, req)
-    }
-
-    fn tick(&mut self) -> Vec<Completion> {
-        MemoryController::tick(self)
-    }
-
-    fn queued_len(&self) -> usize {
-        MemoryController::queued_len(self)
-    }
-
-    fn in_flight_len(&self) -> usize {
-        MemoryController::in_flight_len(self)
-    }
-
-    fn is_drained(&self) -> bool {
-        MemoryController::is_drained(self)
-    }
-
-    fn drain(&mut self, max_cycles: u64) -> Vec<Completion> {
-        MemoryController::drain(self, max_cycles)
-    }
-
-    fn storage(&self) -> &SparseStorage {
-        MemoryController::storage(self)
-    }
-
-    fn storage_mut(&mut self) -> &mut SparseStorage {
-        MemoryController::storage_mut(self)
-    }
-
-    fn mem_stats(&self) -> MemStats {
-        MemStats {
-            controller: *self.stats(),
-            device: *self.device().stats(),
-        }
-    }
-}
-
 /// Named memory technologies — the sweep axis of the line-rate headroom
 /// study (`BENCH_memory.json`) and the facade builder's coarse dial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemoryKind {
-    /// JEDEC DDR3 (the paper's technology; legacy timing/geometry knobs).
+    /// JEDEC DDR3, the paper's technology.
     Ddr3,
     /// DDR4-2400-class device with bank groups (tCCD_S/tCCD_L).
     Ddr4,
@@ -207,11 +159,14 @@ impl MemoryKind {
     }
 
     /// The calibrated default parameter set for this technology (see
-    /// DESIGN.md §Calibration): DDR3 selects the consumer's legacy
-    /// timing fields; the rest carry their own parameters.
+    /// DESIGN.md §Calibration); DDR3 is the prototype's DDR3-1600
+    /// 512 MB memory set.
     pub fn default_spec(self) -> MemorySpec {
         match self {
-            MemoryKind::Ddr3 => MemorySpec::Ddr3,
+            MemoryKind::Ddr3 => MemorySpec::Ddr3 {
+                timing: TimingPreset::Ddr3_1600,
+                geometry: Geometry::prototype_512mb(),
+            },
             MemoryKind::Ddr4 => MemorySpec::Ddr4(DramParams::ddr4_2400()),
             MemoryKind::Hbm2 => MemorySpec::Hbm2(DramParams::hbm2_2gbps()),
             MemoryKind::Sram => MemorySpec::Sram(SramParams::ideal_200mhz()),
@@ -219,17 +174,33 @@ impl MemoryKind {
     }
 }
 
+/// The prototype's quarter-rate DDR3 controller: memory-clock cycles
+/// per system cycle (800 MHz DDR3-1600 clock, 200 MHz user logic), and
+/// the command interval in memory cycles (one command per user cycle).
+const DDR3_CLOCK_RATIO: u32 = 4;
+
+/// Consecutive same-direction column commands the DDR3 controller
+/// issues before it considers a bus turnaround.
+const DDR3_GROUP_LIMIT: u32 = 16;
+
 /// Full memory-technology selection: which model to build, with its
-/// parameters. The default ([`MemorySpec::Ddr3`]) keeps the legacy
-/// path: the consumer's existing DDR3 timing/geometry/mapping fields
-/// configure a [`MemoryController`], byte-identical to the
-/// pre-trait-extraction behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// parameters. Every variant carries its whole part, so a consumer's
+/// configuration needs nothing beyond this value, a queue capacity and
+/// a refresh switch.
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MemorySpec {
-    /// DDR3 via the consumer's legacy `TimingParams`/`Geometry` fields.
-    #[default]
-    Ddr3,
+    /// The paper's DDR3 part behind a [`MemoryController`] set up as
+    /// the prototype's quarter-rate controller: four memory cycles and
+    /// one command per system cycle, and [`AddressMapping::RowColBank`]
+    /// so consecutive bursts land in consecutive banks (the interleave
+    /// the Bank Selector exploits).
+    Ddr3 {
+        /// JEDEC speed grade.
+        timing: TimingPreset,
+        /// Geometry of each memory set.
+        geometry: Geometry,
+    },
     /// DDR4 with bank groups, from explicit [`DramParams`].
     Ddr4(DramParams),
     /// HBM2-style multi-channel stack, from explicit [`DramParams`].
@@ -238,11 +209,18 @@ pub enum MemorySpec {
     Sram(SramParams),
 }
 
+impl Default for MemorySpec {
+    /// The FPGA prototype's memory set: DDR3-1600, 512 MB.
+    fn default() -> Self {
+        MemoryKind::Ddr3.default_spec()
+    }
+}
+
 impl MemorySpec {
     /// The coarse technology tag of this spec.
     pub fn kind(&self) -> MemoryKind {
         match self {
-            MemorySpec::Ddr3 => MemoryKind::Ddr3,
+            MemorySpec::Ddr3 { .. } => MemoryKind::Ddr3,
             MemorySpec::Ddr4(_) => MemoryKind::Ddr4,
             MemorySpec::Hbm2(_) => MemoryKind::Hbm2,
             MemorySpec::Sram(_) => MemoryKind::Sram,
@@ -254,59 +232,104 @@ impl MemorySpec {
         self.kind().name()
     }
 
-    /// Validates the carried parameters. `Ddr3` is vacuously valid
-    /// here: its parameters live in the consumer's config, which
-    /// validates them through `TimingParams::validate`.
+    /// Validates the carried parameters. DDR3 checks its geometry; a
+    /// [`TimingPreset`] is a datasheet speed grade and always valid.
     ///
     /// # Errors
     ///
     /// Returns [`ConfigError`] for an internally inconsistent
-    /// parameter set (see [`DramParams::validate`] /
-    /// [`SramParams::validate`]).
+    /// parameter set (see [`Geometry::validate`],
+    /// [`DramParams::validate`] and [`SramParams::validate`]).
     pub fn validate(&self) -> Result<(), ConfigError> {
         match self {
-            MemorySpec::Ddr3 => Ok(()),
+            MemorySpec::Ddr3 { geometry, .. } => geometry.validate(),
             MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.validate(),
             MemorySpec::Sram(p) => p.validate(),
         }
     }
 
-    /// Memory-clock cycles per consumer (system) cycle. `Ddr3` defers
-    /// to the consumer's legacy `clock_ratio` field, passed as
-    /// `legacy_ratio`.
-    pub fn ticks_per_sys(&self, legacy_ratio: u32) -> u32 {
+    /// Memory clock in MHz.
+    pub fn clock_mhz(&self) -> f64 {
         match self {
-            MemorySpec::Ddr3 => legacy_ratio,
+            MemorySpec::Ddr3 { timing, .. } => timing.params().clock_mhz(),
+            MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.clock_mhz(),
+            MemorySpec::Sram(p) => p.clock_mhz(),
+        }
+    }
+
+    /// Memory-clock cycles per consumer (system) cycle.
+    pub fn ticks_per_sys(&self) -> u32 {
+        match self {
+            MemorySpec::Ddr3 { .. } => DDR3_CLOCK_RATIO,
             MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.clock_ratio,
             MemorySpec::Sram(_) => 1,
         }
     }
 
-    /// Builds the model behind the trait. The DDR3 variant consumes the
-    /// caller-supplied [`ControllerConfig`] (the legacy fields);
-    /// the other variants take only its queue capacity and refresh
-    /// switch, carrying everything else themselves.
+    /// Bytes moved by one burst.
+    pub fn burst_bytes(&self) -> usize {
+        match self {
+            MemorySpec::Ddr3 { geometry, .. } => geometry.burst_bytes(),
+            MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.burst_bytes(),
+            MemorySpec::Sram(p) => p.burst_bytes,
+        }
+    }
+
+    /// Burst-aligned capacity.
+    pub fn total_bursts(&self) -> u64 {
+        match self {
+            MemorySpec::Ddr3 { geometry, .. } => geometry.total_bursts(),
+            MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.total_bursts(),
+            MemorySpec::Sram(p) => p.total_bursts,
+        }
+    }
+
+    /// Independently schedulable banks: DDR3's geometry banks, every
+    /// bank of every DRAM channel, and one for SRAM.
+    pub fn banks(&self) -> u32 {
+        match self {
+            MemorySpec::Ddr3 { geometry, .. } => geometry.banks,
+            MemorySpec::Ddr4(p) | MemorySpec::Hbm2(p) => p.channels * p.banks_per_channel(),
+            MemorySpec::Sram(_) => 1,
+        }
+    }
+
+    /// Builds the model behind the trait with `queue_capacity` queued
+    /// requests and periodic refresh when `refresh_enabled` (SRAM has
+    /// no refresh).
     ///
     /// # Panics
     ///
     /// Panics if the parameters are invalid; call
     /// [`validate`](Self::validate) first for fallible handling.
-    pub fn build(&self, legacy: ControllerConfig) -> Box<dyn MemoryModel> {
+    pub fn build(&self, queue_capacity: usize, refresh_enabled: bool) -> Box<dyn MemoryModel> {
         match self {
-            MemorySpec::Ddr3 => Box::new(MemoryController::new(legacy)),
+            MemorySpec::Ddr3 { timing, geometry } => {
+                Box::new(MemoryController::new(ControllerConfig {
+                    timing: timing.params(),
+                    geometry: *geometry,
+                    mapping: AddressMapping::RowColBank,
+                    page_policy: PagePolicy::Closed,
+                    queue_capacity,
+                    group_limit: DDR3_GROUP_LIMIT,
+                    refresh_enabled,
+                    cmd_interval: u64::from(DDR3_CLOCK_RATIO),
+                    ..ControllerConfig::default()
+                }))
+            }
             MemorySpec::Ddr4(p) => Box::new(GroupedDramModel::new(
                 "ddr4",
                 *p,
-                legacy.queue_capacity,
-                legacy.refresh_enabled,
+                queue_capacity,
+                refresh_enabled,
             )),
             MemorySpec::Hbm2(p) => Box::new(GroupedDramModel::new(
                 "hbm2",
                 *p,
-                legacy.queue_capacity,
-                legacy.refresh_enabled,
+                queue_capacity,
+                refresh_enabled,
             )),
-            MemorySpec::Sram(p) => Box::new(SramModel::new(*p, legacy.queue_capacity)),
+            MemorySpec::Sram(p) => Box::new(SramModel::new(*p, queue_capacity)),
         }
     }
 }
@@ -314,10 +337,8 @@ impl MemorySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::address::Geometry;
-    use crate::timing::TimingPreset;
 
-    fn legacy_cfg() -> ControllerConfig {
+    fn tiny_cfg() -> ControllerConfig {
         ControllerConfig {
             timing: TimingPreset::Ddr3_1066E.params(),
             geometry: Geometry::tiny(),
@@ -330,8 +351,8 @@ mod tests {
     fn controller_behaves_identically_through_the_trait() {
         // Drive one instance concretely and one through Box<dyn …> with
         // the same request stream: identical completions and stats.
-        let mut concrete = MemoryController::new(legacy_cfg());
-        let mut boxed: Box<dyn MemoryModel> = Box::new(MemoryController::new(legacy_cfg()));
+        let mut concrete = MemoryController::new(tiny_cfg());
+        let mut boxed: Box<dyn MemoryModel> = Box::new(MemoryController::new(tiny_cfg()));
         for i in 0..8u64 {
             concrete.enqueue(MemRequest::read(i, i * 3)).unwrap();
             boxed.enqueue(MemRequest::read(i, i * 3)).unwrap();
@@ -346,7 +367,7 @@ mod tests {
             },
             boxed.mem_stats()
         );
-        assert_eq!(MemoryController::now(&concrete), boxed.now());
+        assert_eq!(concrete.now(), boxed.now());
     }
 
     #[test]
@@ -354,7 +375,7 @@ mod tests {
         for kind in MemoryKind::ALL {
             let spec = kind.default_spec();
             spec.validate().unwrap();
-            let mut m = spec.build(legacy_cfg());
+            let mut m = spec.build(32, false);
             assert_eq!(m.name(), kind.name());
             assert!(m.is_drained());
             m.enqueue(MemRequest::read(1, 0)).unwrap();
@@ -369,7 +390,7 @@ mod tests {
     #[test]
     fn preload_via_storage_is_visible_to_reads() {
         for kind in MemoryKind::ALL {
-            let mut m = kind.default_spec().build(legacy_cfg());
+            let mut m = kind.default_spec().build(32, false);
             let burst = vec![0xA5u8; m.storage().burst_bytes()];
             m.storage_mut().write_burst(5, &burst);
             m.enqueue(MemRequest::read(9, 5)).unwrap();
@@ -380,12 +401,13 @@ mod tests {
 
     #[test]
     fn spec_reports_kind_and_ratio() {
-        assert_eq!(MemorySpec::Ddr3.kind(), MemoryKind::Ddr3);
-        assert_eq!(MemorySpec::Ddr3.ticks_per_sys(4), 4);
+        let ddr3 = MemorySpec::default();
+        assert_eq!(ddr3, MemoryKind::Ddr3.default_spec());
+        assert_eq!(ddr3.kind(), MemoryKind::Ddr3);
+        assert_eq!(ddr3.ticks_per_sys(), 4);
         let ddr4 = MemoryKind::Ddr4.default_spec();
-        assert_eq!(ddr4.ticks_per_sys(4), DramParams::ddr4_2400().clock_ratio);
-        assert_eq!(MemoryKind::Sram.default_spec().ticks_per_sys(4), 1);
-        assert_eq!(MemorySpec::default(), MemorySpec::Ddr3);
+        assert_eq!(ddr4.ticks_per_sys(), DramParams::ddr4_2400().clock_ratio);
+        assert_eq!(MemoryKind::Sram.default_spec().ticks_per_sys(), 1);
         for kind in MemoryKind::ALL {
             assert_eq!(kind.default_spec().name(), kind.name());
         }

@@ -143,7 +143,7 @@ impl TimingPreset {
     /// paper's reference \[12\]): analogue nanosecond constraints are
     /// rounded *up* to whole clocks, as a real controller must.
     pub fn params(self) -> TimingParams {
-        let p = match self {
+        match self {
             // tCK = 1.875 ns. tRAS = 37.5 ns -> 20 ck, tRC = 50.625 ns -> 27,
             // tRRD = 7.5 ns -> 4, tWTR = 7.5 ns -> 4, tWR = 15 ns -> 8,
             // tRTP = 7.5 ns -> 4, tFAW = 50 ns -> 27 (x8 part),
@@ -210,9 +210,7 @@ impl TimingPreset {
                 t_refi: 6240,
                 t_rfc: 88,
             },
-        };
-        debug_assert!(p.validate().is_ok());
-        p
+        }
     }
 }
 

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use flowlut_ddr3::bus::{analytic_utilization, TurnaroundModel};
 use flowlut_ddr3::{
     AddressMapping, ControllerConfig, DramParams, Geometry, MemRequest, MemoryController,
-    SramParams, TimingPreset,
+    MemoryModel, SramParams, TimingPreset,
 };
 
 fn geometry_strategy() -> impl Strategy<Value = Geometry> {

@@ -1184,7 +1184,6 @@ mod tests {
         let mut cfg = EngineConfig::test_small();
         cfg.shards = 1;
         cfg.input_rate_mhz = 100.0;
-        cfg.shard.clock_ratio = 1; // cheapest possible stalled cycles
         cfg.shard.cam_latency_sys = u64::MAX / 4;
         let mut engine = ShardedFlowLut::new(cfg);
         assert!(FlowPipeline::push(

@@ -9,7 +9,7 @@
 use flowlut::ddr3::bus::{analytic_utilization, TurnaroundModel};
 use flowlut::ddr3::{
     AddressMapping, ControllerConfig, Geometry, MemAddress, MemRequest, MemoryController,
-    TimingPreset,
+    MemoryModel, TimingPreset,
 };
 
 fn drain_cycles(pattern: impl Fn(u64) -> MemAddress, n: u64) -> (u64, f64) {

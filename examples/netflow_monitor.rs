@@ -9,6 +9,7 @@
 //! Run with: `cargo run --release --example netflow_monitor`
 
 use flowlut::core::{ExpiryPolicy, FlowLutSim, SimConfig};
+use flowlut::ddr3::MemorySpec;
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::{FlowEventKind, FlowPipeline};
 
@@ -19,7 +20,9 @@ fn main() {
     // — `scan_stride` records per cycle, never a stop-the-world sweep.
     cfg.table.buckets_per_mem = 16_384;
     cfg.table.cam_capacity = 512;
-    cfg.geometry.rows = 1024;
+    if let MemorySpec::Ddr3 { geometry, .. } = &mut cfg.memory {
+        geometry.rows = 1024;
+    }
     cfg.expiry = Some(ExpiryPolicy {
         idle_timeout_cycles: 40_000, // 200 us at the 5 ns system clock
         scan_stride: 8,

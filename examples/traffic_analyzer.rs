@@ -8,6 +8,7 @@
 
 use flowlut::analyzer::{AnalyzerConfig, Event, EventThresholds, TrafficAnalyzer};
 use flowlut::core::SimConfig;
+use flowlut::ddr3::MemorySpec;
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
 
@@ -15,7 +16,9 @@ fn main() {
     let mut cfg = SimConfig::test_small();
     cfg.table.buckets_per_mem = 16_384;
     cfg.table.cam_capacity = 512;
-    cfg.geometry.rows = 1024;
+    if let MemorySpec::Ddr3 { geometry, .. } = &mut cfg.memory {
+        geometry.rows = 1024;
+    }
     let mut analyzer = TrafficAnalyzer::new(AnalyzerConfig {
         sim: cfg,
         buffer_depth: 20_000,

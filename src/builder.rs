@@ -9,7 +9,7 @@
 //! ```
 //! use flowlut::{BaselineKind, Builder};
 //! use flowlut::core::TableConfig;
-//! use flowlut::ddr3::TimingPreset;
+//! use flowlut::ddr3::{Geometry, MemorySpec, TimingPreset};
 //!
 //! // The paper's functional table.
 //! let table = Builder::new().table(TableConfig::test_small()).build()?;
@@ -18,7 +18,10 @@
 //! // A 4-channel timed engine on Figure 3's DDR3-1066E part.
 //! let engine = Builder::new()
 //!     .shards(4)
-//!     .timing(TimingPreset::Ddr3_1066E)
+//!     .memory_spec(MemorySpec::Ddr3 {
+//!         timing: TimingPreset::Ddr3_1066E,
+//!         geometry: Geometry::prototype_512mb(),
+//!     })
 //!     .table(TableConfig::test_small())
 //!     .build()?;
 //! assert_eq!(engine.capacity(), 4 * TableConfig::test_small().capacity());
@@ -37,7 +40,7 @@ use flowlut_baselines::{
 };
 use flowlut_core::backend::FlowBackend;
 use flowlut_core::{ConfigError, FlowLutSim, HashCamTable, SimConfig, TableConfig};
-use flowlut_ddr3::{MemoryKind, MemorySpec, TimingPreset};
+use flowlut_ddr3::{MemoryKind, MemorySpec};
 use flowlut_engine::{EngineConfig, ExecutionMode, ShardedFlowLut};
 use flowlut_scenarios::{Scenario, ScenarioReport, ScenarioRunner};
 use flowlut_service::{FlowService, ServiceConfig};
@@ -81,7 +84,8 @@ impl BaselineKind {
 /// 1. [`baseline`](Self::baseline) → that related-work structure, sized
 ///    to match the configured table's capacity (untimed);
 /// 2. [`shards`](Self::shards)` >= 2` → the sharded multi-channel engine;
-/// 3. [`shards(1)`](Self::shards), [`timing`](Self::timing) or
+/// 3. [`shards(1)`](Self::shards), [`memory`](Self::memory),
+///    [`memory_spec`](Self::memory_spec) or
 ///    [`sim_config`](Self::sim_config) → the cycle-stepped single-channel
 ///    prototype;
 /// 4. otherwise → the functional [`HashCamTable`].
@@ -92,7 +96,6 @@ impl BaselineKind {
 pub struct Builder {
     table: Option<TableConfig>,
     sim: Option<SimConfig>,
-    timing: Option<TimingPreset>,
     memory: Option<MemorySpec>,
     shards: Option<usize>,
     threads: Option<usize>,
@@ -114,26 +117,16 @@ impl Builder {
     }
 
     /// Full simulator configuration for the timed backends (queue
-    /// depths, policies, geometry). Implies a timed backend. `table`,
-    /// `timing`, `input_rate_mhz` and `seed` still override its fields.
+    /// depths, policies, memory). Implies a timed backend. `table`,
+    /// `memory`, `input_rate_mhz` and `seed` still override its fields.
     pub fn sim_config(mut self, sim: SimConfig) -> Self {
         self.sim = Some(sim);
         self
     }
 
-    /// DDR3 speed grade of each memory set. Implies a timed backend.
-    /// For other memory technologies use [`memory`](Self::memory);
-    /// combining this with a non-DDR3 memory is rejected at
-    /// [`build`](Self::build) time.
-    pub fn timing(mut self, preset: TimingPreset) -> Self {
-        self.timing = Some(preset);
-        self
-    }
-
     /// Memory technology of each lookup path, at that technology's
-    /// calibrated default parameters (DESIGN.md §Calibration). Implies
-    /// a timed backend. `MemoryKind::Ddr3` is the legacy path —
-    /// identical to not calling this at all.
+    /// calibrated default parameters (DESIGN.md §Calibration; DDR3 is
+    /// the prototype's DDR3-1600 512 MB part). Implies a timed backend.
     ///
     /// ```
     /// use flowlut::Builder;
@@ -152,7 +145,8 @@ impl Builder {
     }
 
     /// Memory technology with explicit parameters, for sweeps that
-    /// vary timing/geometry beyond the calibrated defaults.
+    /// vary timing/geometry beyond the calibrated defaults — a DDR3
+    /// speed grade is `MemorySpec::Ddr3 { timing, geometry }`.
     pub fn memory_spec(mut self, spec: MemorySpec) -> Self {
         self.memory = Some(spec);
         self
@@ -226,9 +220,6 @@ impl Builder {
     fn effective_sim_config(&self) -> SimConfig {
         let mut cfg = self.sim.clone().unwrap_or_default();
         cfg.table = self.table_config();
-        if let Some(preset) = self.timing {
-            cfg.timing = preset.params();
-        }
         if let Some(spec) = self.memory {
             cfg.memory = spec;
         }
@@ -236,21 +227,6 @@ impl Builder {
             cfg.input_rate_mhz = rate;
         }
         cfg
-    }
-
-    /// Rejects the one ambiguous combination: a DDR3 `TimingPreset`
-    /// next to a memory technology that would ignore it.
-    fn check_timing_memory_conflict(&self) -> Result<(), ConfigError> {
-        if let (Some(_), Some(spec)) = (self.timing, self.memory) {
-            if spec.kind() != MemoryKind::Ddr3 {
-                return Err(ConfigError::new(format!(
-                    "timing presets are DDR3-specific and would be ignored by the \
-                     `{}` memory model: drop .timing(...) or select MemoryKind::Ddr3",
-                    spec.name()
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Builds the selected backend behind `Box<dyn FlowBackend>`.
@@ -263,7 +239,6 @@ impl Builder {
     pub fn build(self) -> Result<Box<dyn FlowBackend>, ConfigError> {
         if let Some(kind) = self.baseline {
             if self.shards.is_some()
-                || self.timing.is_some()
                 || self.memory.is_some()
                 || self.sim.is_some()
                 || self.input_rate_mhz.is_some()
@@ -271,7 +246,7 @@ impl Builder {
             {
                 return Err(ConfigError::new(
                     "baselines are untimed: they take no \
-                     shards/timing/memory/sim_config/input_rate_mhz/threads",
+                     shards/memory/sim_config/input_rate_mhz/threads",
                 ));
             }
             return Ok(self.build_baseline(kind));
@@ -287,9 +262,7 @@ impl Builder {
                  backends have nothing to parallelise",
             )),
             Some(_) => Ok(Box::new(self.build_sim()?)),
-            None if self.timing.is_some() || self.memory.is_some() || self.sim.is_some() => {
-                Ok(Box::new(self.build_sim()?))
-            }
+            None if self.memory.is_some() || self.sim.is_some() => Ok(Box::new(self.build_sim()?)),
             None => Ok(Box::new(self.build_table()?)),
         }
     }
@@ -312,7 +285,6 @@ impl Builder {
     ///
     /// [`ConfigError`] if the simulator configuration is invalid.
     pub fn build_sim(self) -> Result<FlowLutSim, ConfigError> {
-        self.check_timing_memory_conflict()?;
         let cfg = self.effective_sim_config();
         cfg.validate()?;
         Ok(FlowLutSim::new(cfg))
@@ -349,7 +321,6 @@ impl Builder {
         if self.threads == Some(0) {
             return Err(ConfigError::new("threads must be non-zero"));
         }
-        self.check_timing_memory_conflict()?;
         let shards = self.shards.unwrap_or(2);
         let shard = self.effective_sim_config();
         let mut cfg = EngineConfig::prototype(shards);
@@ -588,30 +559,6 @@ mod tests {
     }
 
     #[test]
-    fn timing_preset_conflicts_with_non_ddr3_memory() {
-        assert!(Builder::new()
-            .sim_config(SimConfig::test_small())
-            .timing(TimingPreset::Ddr3_1066E)
-            .memory(MemoryKind::Hbm2)
-            .build()
-            .is_err());
-        assert!(Builder::new()
-            .sim_config(SimConfig::test_small())
-            .timing(TimingPreset::Ddr3_1066E)
-            .memory(MemoryKind::Ddr4)
-            .shards(2)
-            .build_engine()
-            .is_err());
-        // DDR3 + a DDR3 preset is the legacy combination: fine.
-        assert!(Builder::new()
-            .sim_config(SimConfig::test_small())
-            .timing(TimingPreset::Ddr3_1066E)
-            .memory(MemoryKind::Ddr3)
-            .build()
-            .is_ok());
-    }
-
-    #[test]
     fn memory_rejected_with_baselines() {
         assert!(Builder::new()
             .baseline(BaselineKind::Cuckoo)
@@ -645,7 +592,10 @@ mod tests {
     fn timed_backends_expose_pipelines() {
         let mut sim = Builder::new()
             .sim_config(SimConfig::test_small())
-            .timing(TimingPreset::Ddr3_1066E)
+            .memory_spec(MemorySpec::Ddr3 {
+                timing: flowlut_ddr3::TimingPreset::Ddr3_1066E,
+                geometry: flowlut_ddr3::Geometry::prototype_512mb(),
+            })
             .build()
             .unwrap();
         assert!(sim.as_pipeline().is_some());

@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use flowlut::core::{FlowLutSim, LoadBalancerPolicy, SimConfig};
+use flowlut::ddr3::MemorySpec;
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::traffic::workloads::MatchRateWorkload;
 use flowlut::traffic::{FiveTuple, FlowKey, PacketDescriptor};
@@ -12,7 +13,9 @@ fn small_cfg() -> SimConfig {
     let mut cfg = SimConfig::test_small();
     cfg.table.buckets_per_mem = 8192;
     cfg.table.cam_capacity = 256;
-    cfg.geometry.rows = 512;
+    if let MemorySpec::Ddr3 { geometry, .. } = &mut cfg.memory {
+        geometry.rows = 512;
+    }
     cfg
 }
 

@@ -14,7 +14,7 @@ use flowlut::ddr3::{MemoryKind, MemorySpec, TimingPreset};
 use flowlut::engine::{EngineConfig, ShardedFlowLut};
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::traffic::PacketDescriptor;
-use flowlut::{Builder, FlowPipeline, RunReport};
+use flowlut::{FlowPipeline, RunReport};
 
 fn trace(packets: usize) -> Vec<PacketDescriptor> {
     FabricTraceProfile::european_2012().generate(packets)
@@ -155,7 +155,9 @@ fn golden_engine() -> RunReport {
 #[test]
 fn ddr3_1066e_path_bit_identical_to_pre_refactor() {
     let mut cfg = SimConfig::test_small();
-    cfg.timing = TimingPreset::Ddr3_1066E.params();
+    if let MemorySpec::Ddr3 { timing, .. } = &mut cfg.memory {
+        *timing = TimingPreset::Ddr3_1066E;
+    }
     let mut sim = FlowLutSim::new(cfg);
     let report = sim.start_run().run(&trace(2_000)).unwrap();
     assert_eq!(report, golden_1066e());
@@ -173,44 +175,6 @@ fn engine_path_bit_identical_to_pre_refactor() {
     let mut engine = ShardedFlowLut::new(EngineConfig::test_small());
     let report = engine.start_run().run(&trace(2_000)).unwrap();
     assert_eq!(report, golden_engine());
-}
-
-#[test]
-fn explicit_ddr3_spec_is_the_legacy_path() {
-    // Selecting MemorySpec::Ddr3 explicitly must be the exact legacy
-    // behaviour — same report, cycle for cycle.
-    let descs = trace(2_000);
-    let mut implicit = FlowLutSim::new(SimConfig::test_small());
-    let mut explicit = {
-        let mut cfg = SimConfig::test_small();
-        cfg.memory = MemorySpec::Ddr3;
-        FlowLutSim::new(cfg)
-    };
-    assert_eq!(
-        implicit.start_run().run(&descs).unwrap(),
-        explicit.start_run().run(&descs).unwrap()
-    );
-}
-
-#[test]
-fn builder_timing_and_memory_ddr3_agree() {
-    // The facade's two DDR3 entry points — the TimingPreset path and
-    // the MemoryKind path — must build identical simulators.
-    let descs = trace(1_000);
-    let mut via_timing = Builder::new()
-        .timing(TimingPreset::Ddr3_1600)
-        .sim_config(SimConfig::test_small())
-        .build_sim()
-        .unwrap();
-    let mut via_memory = Builder::new()
-        .memory(MemoryKind::Ddr3)
-        .sim_config(SimConfig::test_small())
-        .build_sim()
-        .unwrap();
-    assert_eq!(
-        via_timing.start_run().run(&descs).unwrap(),
-        via_memory.start_run().run(&descs).unwrap()
-    );
 }
 
 #[test]

@@ -9,7 +9,9 @@ use proptest::prelude::*;
 use flowlut::core::codec;
 use flowlut::core::fid::{FlowId, Location, PathId};
 use flowlut::core::{HashCamTable, InsertError, TableConfig};
-use flowlut::ddr3::{ControllerConfig, Geometry, MemRequest, MemoryController, TimingPreset};
+use flowlut::ddr3::{
+    ControllerConfig, Geometry, MemRequest, MemoryController, MemoryModel, TimingPreset,
+};
 use flowlut::traffic::{FiveTuple, FlowKey};
 
 fn key_strategy() -> impl Strategy<Value = FlowKey> {
