@@ -14,13 +14,17 @@
 use std::io::Write;
 
 use flowlut_bench::{quick_mode, save_snapshot, smoke_mode};
-use flowlut_engine::{EngineConfig, EngineReport, ShardedFlowLut};
+use flowlut_core::backend::RunReport;
+use flowlut_engine::{EngineConfig, EngineSnapshot, ShardedFlowLut};
 use flowlut_traffic::workloads::MatchRateWorkload;
 
 /// One sweep point.
 struct Point {
     shards: usize,
-    report: EngineReport,
+    report: RunReport,
+    /// Post-run engine state: a fresh engine per point, so its
+    /// cumulative splitter stalls and imbalance are the run's own.
+    snapshot: EngineSnapshot,
 }
 
 fn main() {
@@ -52,7 +56,11 @@ fn main() {
             .preload(set.preload.iter().copied())
             .expect("preload fits the prototype table");
         let report = engine.run(&set.queries);
-        points.push(Point { shards, report });
+        points.push(Point {
+            shards,
+            report,
+            snapshot: engine.snapshot(),
+        });
     }
 
     let base = points[0].report.mdesc_per_s;
@@ -68,8 +76,8 @@ fn main() {
             p.report.mdesc_per_s,
             p.report.mdesc_per_s / base,
             p.report.mean_latency_ns,
-            p.report.imbalance(),
-            p.report.splitter_stall_cycles,
+            p.snapshot.imbalance(),
+            p.snapshot.splitter_stall_cycles,
         );
     }
 
@@ -123,8 +131,8 @@ fn write_json(
             r.mdesc_per_s,
             r.mdesc_per_s / base,
             r.mean_latency_ns,
-            r.imbalance(),
-            r.splitter_stall_cycles,
+            p.snapshot.imbalance(),
+            p.snapshot.splitter_stall_cycles,
             r.completed,
             if i + 1 == points.len() { "" } else { "," }
         )?;

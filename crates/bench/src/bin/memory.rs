@@ -19,8 +19,9 @@
 use std::io::Write;
 
 use flowlut_bench::{quick_mode, save_snapshot, smoke_mode};
+use flowlut_core::backend::RunReport;
 use flowlut_ddr3::MemoryKind;
-use flowlut_engine::{EngineConfig, EngineReport, ShardedFlowLut};
+use flowlut_engine::{EngineConfig, ShardedFlowLut};
 use flowlut_traffic::workloads::MatchRateWorkload;
 
 /// 400 GbE at minimum-size (64 B) frames: 400e9 / ((64 + 20) * 8) bits.
@@ -33,7 +34,7 @@ struct Point {
     kind: MemoryKind,
     shards: usize,
     per_shard_rate_mhz: f64,
-    report: EngineReport,
+    report: RunReport,
 }
 
 impl Point {

@@ -24,7 +24,8 @@ use std::io::Write;
 use std::time::Instant;
 
 use flowlut_bench::{quick_mode, save_snapshot, smoke_mode};
-use flowlut_engine::{EngineConfig, EngineReport, ExecutionMode, ShardedFlowLut};
+use flowlut_core::backend::RunReport;
+use flowlut_engine::{EngineConfig, EngineSnapshot, ExecutionMode, ShardedFlowLut};
 use flowlut_traffic::workloads::MatchRateWorkload;
 
 /// One sweep point: the same workload, inline versus threaded.
@@ -49,13 +50,13 @@ impl Point {
 }
 
 /// Builds an engine, preloads the workload, runs it, and returns the
-/// report plus the wall-clock seconds of the run itself (preload and
-/// construction excluded).
+/// report and post-run engine state plus the wall-clock seconds of the
+/// run itself (preload and construction excluded).
 fn timed_run_once(
     shards: usize,
     execution: ExecutionMode,
     set: &flowlut_traffic::workloads::MatchRateSet,
-) -> (EngineReport, f64) {
+) -> ((RunReport, EngineSnapshot), f64) {
     let mut engine = ShardedFlowLut::new(EngineConfig {
         execution,
         ..EngineConfig::prototype(shards)
@@ -65,7 +66,8 @@ fn timed_run_once(
         .expect("preload fits the prototype table");
     let start = Instant::now();
     let report = engine.run(&set.queries);
-    (report, start.elapsed().as_secs_f64())
+    let secs = start.elapsed().as_secs_f64();
+    ((report, engine.snapshot()), secs)
 }
 
 /// Best-of-`reps` wall time on a fresh engine each rep (first rep's
@@ -78,7 +80,7 @@ fn timed_run(
     execution: ExecutionMode,
     set: &flowlut_traffic::workloads::MatchRateSet,
     reps: u32,
-) -> (EngineReport, f64) {
+) -> ((RunReport, EngineSnapshot), f64) {
     let (report, mut best) = timed_run_once(shards, execution, set);
     for _ in 1..reps {
         let (_, secs) = timed_run_once(shards, execution, set);
@@ -115,12 +117,14 @@ fn main() {
     let mut points: Vec<Point> = Vec::new();
     for shards in [1usize, 2, 4, 8] {
         let threads = shards.min(4);
-        let (inline_report, inline_secs) = timed_run(shards, ExecutionMode::Inline, &set, reps);
-        let (threaded_report, threaded_secs) =
+        let ((inline_report, inline_state), inline_secs) =
+            timed_run(shards, ExecutionMode::Inline, &set, reps);
+        let ((threaded_report, threaded_state), threaded_secs) =
             timed_run(shards, ExecutionMode::Threaded(threads), &set, reps);
-        // Determinism cross-check while we have both reports in hand:
-        // threading must never change what the engine computes.
-        let reports_identical = format!("{inline_report:?}") == format!("{threaded_report:?}");
+        // Determinism cross-check while we have both runs in hand:
+        // threading must never change what the engine computes, down to
+        // every per-shard counter.
+        let reports_identical = inline_report == threaded_report && inline_state == threaded_state;
         assert!(
             reports_identical,
             "threaded report diverged from inline at {shards} shards — determinism bug"

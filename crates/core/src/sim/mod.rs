@@ -119,7 +119,8 @@ struct PathSim {
     bwr_first_cycle: Option<u64>,
 }
 
-/// The end-to-end performance report of one simulated run.
+/// The end-to-end performance report of one simulated run: the run's
+/// [`RunReport`] plus the per-path memory statistics.
 #[derive(Debug, Clone)]
 pub struct SimReport {
     /// System-clock cycles simulated.
@@ -383,54 +384,35 @@ impl FlowLutSim {
 
     /// Runs `descs` through the engine at the configured input rate and
     /// returns the performance report. Completes when every offered
-    /// descriptor has resolved.
+    /// descriptor has resolved, including any offered before the call.
     ///
-    /// This batch entry point is a thin wrapper over the streaming
-    /// session API (a [`Session`] driving this simulator as a
-    /// [`FlowPipeline`]) and is kept for the paper-artefact binaries
-    /// that need the rich [`SimReport`]. New code should prefer the
-    /// session API, whose [`RunReport`] is comparable across backends;
-    /// `tests/session_equivalence.rs` pins that both paths report
-    /// identically.
+    /// This batch entry point is `start_run().run(descs)` on the
+    /// streaming session API (a [`Session`] driving this simulator as a
+    /// [`FlowPipeline`]): the [`SimReport`] is that session's
+    /// [`RunReport`] plus the per-path memory statistics, which only the
+    /// single-channel simulator has.
     ///
     /// # Panics
     ///
     /// Panics if the pipeline makes no progress for an implausibly long
     /// time (a scheduler deadlock — a bug, not a workload condition).
     pub fn run(&mut self, descs: &[PacketDescriptor]) -> SimReport {
-        let start_cycle = self.now_sys;
-        let start_stats = self.stats;
-        let session = Session::new(self);
-        match session.run(descs) {
-            Ok(_) => {}
+        let run = match Session::new(self).run(descs) {
+            Ok(report) => report,
             Err(_) => unreachable!("a freshly opened session is never drained"),
-        }
-        self.report(start_cycle, &start_stats, descs.len() as u64)
-    }
-
-    /// Per-run report: statistics are differenced against the run start,
-    /// so repeated `run` calls on one simulator report each run alone.
-    fn report(&self, start_cycle: u64, start_stats: &SimStats, completed: u64) -> SimReport {
-        let cycles = self.now_sys - start_cycle;
-        let elapsed_ns = cycles as f64 * self.cfg.sys_period_ns();
-        let stats = self.stats.delta_since(start_stats);
+        };
         SimReport {
-            sys_cycles: cycles,
-            elapsed_ns,
-            completed,
-            mdesc_per_s: if elapsed_ns > 0.0 {
-                completed as f64 / (elapsed_ns / 1000.0)
-            } else {
-                0.0
-            },
-            stats,
-            table_occupancy: self.table.occupancy(),
+            sys_cycles: run.sys_cycles,
+            elapsed_ns: run.elapsed_ns,
+            completed: run.completed,
+            mdesc_per_s: run.mdesc_per_s,
+            stats: run.stats,
+            table_occupancy: run.occupancy,
             mem_stats: [
                 self.paths[0].ctrl.mem_stats(),
                 self.paths[1].ctrl.mem_stats(),
             ],
-            mean_latency_ns: self.stats.delta_since(start_stats).mean_latency_sys()
-                * self.cfg.sys_period_ns(),
+            mean_latency_ns: run.mean_latency_ns,
         }
     }
 

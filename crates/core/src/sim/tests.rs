@@ -320,6 +320,26 @@ fn report_throughput_is_positive_and_bounded() {
 }
 
 #[test]
+fn report_counts_descriptors_offered_before_run() {
+    // Offers pending when `run` starts drain inside the run: the report
+    // must count them, exactly as a session opened at that point does.
+    let pending = descs(1_000..1_008);
+    let batch = descs(0..50);
+    let mut sim = FlowLutSim::new(SimConfig::test_small());
+    let mut twin = FlowLutSim::new(SimConfig::test_small());
+    let k = offer_all(&mut sim, &pending);
+    assert_eq!(k, pending.len());
+    assert_eq!(offer_all(&mut twin, &pending), k);
+
+    let report = sim.run(&batch);
+    let n = batch.len() as u64 + k as u64;
+    assert_eq!(report.completed, n);
+    assert_eq!(report.stats.completed, n);
+    let session = twin.start_run().run(&batch).expect("fresh session");
+    assert_eq!(RunReport::from(report), session);
+}
+
+#[test]
 fn storage_and_table_agree_after_mixed_run() {
     // End-to-end consistency: after inserts and deletes settle, the
     // bytes in simulated DRAM decode to exactly the table's contents.

@@ -226,8 +226,9 @@ impl SimStats {
 }
 
 /// A point-in-time view of one simulator instance, cheap to take every
-/// cycle: the hook external aggregators (the multi-channel engine, live
-/// dashboards) use instead of waiting for a full [`SimReport`].
+/// cycle. Its counters are cumulative, unlike a [`SimReport`], which
+/// covers one finished run: the multi-channel engine's snapshot holds
+/// one per shard, and live dashboards poll it between runs.
 ///
 /// [`SimReport`]: crate::sim::SimReport
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -15,9 +15,11 @@
 //!   `router` docs and DESIGN.md §Multi-channel scaling).
 //! * [`ShardedFlowLut`] — the engine: an aggregate-rate splitter stages
 //!   descriptors per shard and hands them to each channel's sequencer in
-//!   batches, preserving the paper's burst-grouping within each channel;
-//!   [`EngineReport`] aggregates occupancy, throughput and latency
-//!   across shards.
+//!   batches, preserving the paper's burst-grouping within each channel.
+//!   A run reports the workspace-wide
+//!   [`RunReport`](flowlut_core::backend::RunReport) (counters merged
+//!   across shards); [`EngineSnapshot`] adds the per-shard counters,
+//!   splitter stalls and [`imbalance`](EngineSnapshot::imbalance).
 //! * [`ExecutionMode`] — inline or threaded shard stepping: because
 //!   shards share no state, `Threaded(n)` spreads the per-cycle shard
 //!   work across a persistent worker pool with **bit-identical**
@@ -36,7 +38,13 @@
 //!     .collect();
 //! let report = engine.run(&descs);
 //! assert_eq!(report.completed, 200);
-//! println!("{} shards: {:.2} Mdesc/s", report.shards, report.mdesc_per_s);
+//! let snap = engine.snapshot();
+//! println!(
+//!     "{} shards: {:.2} Mdesc/s, imbalance {:.2}",
+//!     report.channels,
+//!     report.mdesc_per_s,
+//!     snap.imbalance()
+//! );
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,8 +57,6 @@ pub mod pool;
 mod router;
 
 pub use config::{EngineConfig, ExecutionMode};
-pub use engine::{
-    EngineReport, EngineSnapshot, RescaleReport, ShardRef, ShardSummary, ShardedFlowLut,
-};
+pub use engine::{EngineSnapshot, RescaleReport, ShardRef, ShardedFlowLut};
 pub use pool::WorkerPool;
 pub use router::ShardRouter;

@@ -97,7 +97,7 @@ fn main() {
         "\n4 shards offered exactly {required:.2} Mpps: {:.2} Mdesc/s sustained, \
          {} splitter stalls  [{}]",
         report.mdesc_per_s,
-        report.splitter_stall_cycles,
+        engine.snapshot().splitter_stall_cycles,
         if sustained {
             "line rate held"
         } else {

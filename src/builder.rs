@@ -279,7 +279,8 @@ impl Builder {
     }
 
     /// Builds the single-channel timed prototype (typed escape hatch for
-    /// callers that need the rich `SimReport`).
+    /// callers that need the `SimReport`, whose per-path memory
+    /// statistics no other report carries).
     ///
     /// # Errors
     ///
@@ -291,7 +292,8 @@ impl Builder {
     }
 
     /// Builds the sharded multi-channel engine (typed escape hatch for
-    /// callers that need the per-shard `EngineReport`). Uses
+    /// callers that need its per-shard `EngineSnapshot` or the engine
+    /// operations: preload, checkpoint, rescale). Uses
     /// [`shards`](Self::shards) (default 2).
     ///
     /// # Errors

@@ -26,14 +26,16 @@
 //! * [`traffic`] — flow keys, workloads, the synthetic
 //!   fabric trace, and Ethernet line-rate arithmetic;
 //! * [`baselines`] — related-work comparators;
-//! * [`analyzer`] — the Figure 7 real-time traffic
-//!   analyzer (packet buffer + event engine + stats engine);
 //! * [`engine`] — the multi-channel sharded engine: N complete
 //!   prototypes behind a hash-based shard router, stepped in lockstep —
 //!   the scale-out path past a single channel's ≈44 Mdesc/s saturation;
 //! * [`service`] — the long-running flow service: the engine behind a
 //!   bounded multi-producer ingest queue with blocking backpressure,
-//!   plus checkpoint/restore warm restart and online N→2N rescale;
+//!   plus checkpoint/restore warm restart and online N→2N rescale.
+//!   The paper's Figure 7 traffic analyzer is built on it in
+//!   `examples/traffic_analyzer.rs`: the ingest queue is the packet
+//!   buffer, [`FlowEvent`]s plus [`SessionProgress`] deltas are the
+//!   event engine, and the flow records are the stats engine;
 //! * [`scenarios`] — declarative workload scenarios: builder/TOML specs
 //!   composing Zipf, elephant/mice, churn, burst and adversarial
 //!   collision stages, executed against any backend by one generic
@@ -94,7 +96,6 @@ pub use flowlut_core::backend::{
 pub use flowlut_core::{CheckpointError, ExpiryPolicy, FlowError, PressurePolicy, RescaleError};
 pub use flowlut_scenarios::{Scenario, ScenarioReport, ScenarioRunner, StageSpec};
 
-pub use flowlut_analyzer as analyzer;
 pub use flowlut_baselines as baselines;
 pub use flowlut_cam as cam;
 pub use flowlut_core as core;

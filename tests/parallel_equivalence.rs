@@ -2,9 +2,9 @@
 //!
 //! `ExecutionMode::Threaded(n)` only changes which host thread runs each
 //! shard's per-cycle body; shards share no state, so every observable —
-//! the unified [`RunReport`], the rich per-shard `EngineReport`, and the
-//! complete post-run [`EngineSnapshot`] — must be **bit-identical** to
-//! inline execution. These tests (including a property test over shard
+//! the unified [`RunReport`] and the complete post-run
+//! [`EngineSnapshot`] with every per-shard counter and the splitter
+//! stalls — must be **bit-identical** to inline execution. These tests (including a property test over shard
 //! counts, thread counts and trace lengths on the seeded fabric trace)
 //! are the acceptance bar for the threaded engine: any scheduling-order
 //! dependence, shared-state leak, or barrier bug shows up as a diverging
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use flowlut::engine::{EngineConfig, ExecutionMode, ShardedFlowLut};
 use flowlut::traffic::fabric::FabricTraceProfile;
 use flowlut::traffic::PacketDescriptor;
-use flowlut::{Builder, RunReport, Session};
+use flowlut::{Builder, Session};
 
 fn trace(packets: usize) -> Vec<PacketDescriptor> {
     FabricTraceProfile::european_2012().generate(packets)
@@ -37,18 +37,10 @@ fn assert_bit_identical(shards: usize, threads: usize, descs: &[PacketDescriptor
     let mut threaded_engine = engine(shards, ExecutionMode::Threaded(threads));
     let a = inline_engine.run(descs);
     let b = threaded_engine.run(descs);
-    // The rich report, including every per-shard counter. EngineReport
-    // carries f64 rates; Debug prints full precision, so equal strings
-    // mean equal bits for the integer state and equal values for the
-    // derived floats.
     assert_eq!(
-        format!("{a:?}"),
-        format!("{b:?}"),
-        "EngineReport diverged at {shards} shards / {threads} threads"
+        a, b,
+        "RunReport diverged at {shards} shards / {threads} threads"
     );
-    let ua: RunReport = a.into();
-    let ub: RunReport = b.into();
-    assert_eq!(ua, ub, "RunReport diverged");
     assert_eq!(
         inline_engine.snapshot(),
         threaded_engine.snapshot(),
@@ -78,10 +70,11 @@ fn threaded_is_bit_identical_across_repeated_runs() {
     let mut threaded_engine = engine(3, ExecutionMode::Threaded(3));
     let a1 = inline_engine.run(&first);
     let b1 = threaded_engine.run(&first);
-    assert_eq!(format!("{a1:?}"), format!("{b1:?}"));
+    assert_eq!(a1, b1);
+    assert_eq!(inline_engine.snapshot(), threaded_engine.snapshot());
     let a2 = inline_engine.run(&second);
     let b2 = threaded_engine.run(&second);
-    assert_eq!(format!("{a2:?}"), format!("{b2:?}"));
+    assert_eq!(a2, b2);
     assert_eq!(inline_engine.snapshot(), threaded_engine.snapshot());
 }
 
