@@ -1,7 +1,9 @@
 //! Exact-match (binary) CAM.
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::Hash;
 
 use crate::stats::CamStats;
 
@@ -27,12 +29,15 @@ impl Error for CamFullError {}
 
 /// An exact-match content-addressable memory with `capacity` slots.
 ///
-/// Search compares the key against every occupied slot "in parallel" and
-/// returns the **lowest** matching slot index (hardware priority
-/// encoding). Insertion uses a free-list and fills the lowest free slot,
-/// mirroring the deterministic allocators used in FPGA CAM wrappers.
+/// The modelled hardware compares the key against every occupied slot in
+/// parallel and returns the **lowest** matching slot index (priority
+/// encoding) in one cycle. The host model reaches the same answer
+/// without a scan: it keeps an index from each resident key to its
+/// lowest slot, so search is one hash-map probe whatever the capacity.
+/// Insertion uses a free-list and fills the lowest free slot, mirroring
+/// the deterministic allocators used in FPGA CAM wrappers.
 ///
-/// Duplicate keys are a caller responsibility: `insert` does not scan for
+/// Duplicate keys are a caller responsibility: `insert` does not reject
 /// duplicates (hardware does not either — the flow table searches before
 /// inserting). [`Cam::search`] on a duplicated key returns the lowest
 /// slot.
@@ -42,11 +47,22 @@ pub struct Cam<K> {
     /// Free slot indices, kept sorted descending so `pop` yields the
     /// lowest index.
     free: Vec<usize>,
+    /// Every resident key's lowest slot and number of copies.
+    index: HashMap<K, Resident>,
     len: usize,
     stats: CamStats,
 }
 
-impl<K: Eq> Cam<K> {
+/// Where a resident key lives: its lowest slot (the priority-encoder
+/// answer) and how many slots hold it, so freeing the last copy needs no
+/// scan.
+#[derive(Debug, Clone, Copy)]
+struct Resident {
+    lowest: usize,
+    copies: usize,
+}
+
+impl<K: Eq + Hash + Copy> Cam<K> {
     /// Creates a CAM with `capacity` slots.
     ///
     /// # Panics
@@ -57,6 +73,7 @@ impl<K: Eq> Cam<K> {
         Cam {
             slots: (0..capacity).map(|_| None).collect(),
             free: (0..capacity).rev().collect(),
+            index: HashMap::new(),
             len: 0,
             stats: CamStats::default(),
         }
@@ -95,7 +112,7 @@ impl<K: Eq> Cam<K> {
     /// Parallel search; returns the lowest slot index holding `key`.
     pub fn search(&mut self, key: &K) -> Option<usize> {
         self.stats.searches += 1;
-        let hit = self.slots.iter().position(|s| s.as_ref() == Some(key));
+        let hit = self.peek(key);
         if hit.is_some() {
             self.stats.hits += 1;
         }
@@ -104,7 +121,7 @@ impl<K: Eq> Cam<K> {
 
     /// Search without statistics side-effects (for assertions and debug).
     pub fn peek(&self, key: &K) -> Option<usize> {
-        self.slots.iter().position(|s| s.as_ref() == Some(key))
+        self.index.get(key).map(|r| r.lowest)
     }
 
     /// Returns the key stored in `slot`, if any.
@@ -125,8 +142,7 @@ impl<K: Eq> Cam<K> {
         match self.free.pop() {
             Some(slot) => {
                 debug_assert!(self.slots[slot].is_none());
-                self.slots[slot] = Some(key);
-                self.len += 1;
+                self.occupy(slot, key);
                 self.stats.inserts += 1;
                 self.stats.high_watermark = self.stats.high_watermark.max(self.len);
                 Ok(slot)
@@ -160,24 +176,30 @@ impl<K: Eq> Cam<K> {
             return Err("CAM free list out of sync");
         };
         self.free.remove(pos);
+        self.occupy(slot, key);
+        Ok(())
+    }
+
+    /// Stores `key` in the (free) `slot` and indexes it.
+    fn occupy(&mut self, slot: usize, key: K) {
+        self.index
+            .entry(key)
+            .and_modify(|r| {
+                r.lowest = r.lowest.min(slot);
+                r.copies += 1;
+            })
+            .or_insert(Resident {
+                lowest: slot,
+                copies: 1,
+            });
         self.slots[slot] = Some(key);
         self.len += 1;
-        Ok(())
     }
 
     /// Removes `key` (lowest matching slot) and returns the slot index.
     pub fn delete(&mut self, key: &K) -> Option<usize> {
         let slot = self.peek(key)?;
-        self.slots[slot] = None;
-        self.len -= 1;
-        self.stats.deletes += 1;
-        // Keep the free list sorted descending so the lowest slot is
-        // reused first (deterministic like a hardware priority allocator).
-        let pos = self
-            .free
-            .binary_search_by(|probe| slot.cmp(probe))
-            .unwrap_err();
-        self.free.insert(pos, slot);
+        self.delete_slot(slot);
         Some(slot)
     }
 
@@ -188,8 +210,26 @@ impl<K: Eq> Cam<K> {
     /// Panics if `slot >= capacity()`.
     pub fn delete_slot(&mut self, slot: usize) -> Option<K> {
         let k = self.slots[slot].take()?;
+        match self.index.get_mut(&k) {
+            Some(r) if r.copies > 1 => {
+                r.copies -= 1;
+                if r.lowest == slot {
+                    // Another copy sits above the freed slot: the
+                    // next-lowest one now wins the priority encoder.
+                    let above = &self.slots[slot + 1..];
+                    if let Some(next) = above.iter().position(|s| *s == Some(k)) {
+                        r.lowest = slot + 1 + next;
+                    }
+                }
+            }
+            _ => {
+                self.index.remove(&k);
+            }
+        }
         self.len -= 1;
         self.stats.deletes += 1;
+        // Keep the free list sorted descending so the lowest slot is
+        // reused first (deterministic like a hardware priority allocator).
         let pos = self
             .free
             .binary_search_by(|probe| slot.cmp(probe))
@@ -211,6 +251,7 @@ impl<K: Eq> Cam<K> {
         for s in &mut self.slots {
             *s = None;
         }
+        self.index.clear();
         self.free = (0..self.capacity()).rev().collect();
         self.len = 0;
     }

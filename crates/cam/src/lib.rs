@@ -6,7 +6,8 @@
 //!
 //! * [`Cam`]: an exact-match (binary) CAM with single-cycle parallel
 //!   search semantics, priority encoding (lowest index wins), a hardware
-//!   style free-list allocator, and occupancy statistics. The flow table
+//!   style free-list allocator, and occupancy statistics. The host model
+//!   answers a search through a key index rather than a slot scan. The flow table
 //!   sizes this block and reports it in the Table I resource model.
 //! * [`Tcam`]: a ternary CAM (per-entry masks) supporting the paper's
 //!   "scalable in the number of tuples" discussion — wildcarded tuple

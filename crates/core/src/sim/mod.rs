@@ -910,12 +910,6 @@ impl FlowLutSim {
             return;
         };
         let key = self.descs[idx].desc.key;
-        // Duplicate-race guard (unreachable under the same-key waiting
-        // list, but kept as a correctness backstop).
-        if let Some(fid) = self.table.peek(&key) {
-            self.complete(idx, ResolvedVia::DuplicateRace, Some(fid));
-            return;
-        }
         let (b1, b2) = self.descs[idx].buckets;
         // The final miss was detected by the LU2 path's Flow Match, whose
         // Ins_req goes to its own Updt block: prefer that path's bucket.
@@ -937,7 +931,12 @@ impl FlowLutSim {
                 }
             },
             Err(InsertError::TableFull) => self.complete(idx, ResolvedVia::Dropped, None),
-            Err(InsertError::Duplicate(_)) => unreachable!("peeked above"),
+            // Duplicate-race backstop: unreachable under the same-key
+            // waiting list, but a resident copy completes the descriptor
+            // rather than inserting twice.
+            Err(InsertError::Duplicate(fid)) => {
+                self.complete(idx, ResolvedVia::DuplicateRace, Some(fid));
+            }
         }
     }
 

@@ -293,48 +293,8 @@ impl HashCamTable {
 
     /// Three-stage lookup with early exit.
     pub fn lookup(&mut self, key: &FlowKey) -> Option<(FlowId, LookupStage)> {
-        self.stats.lookups += 1;
-        // Stage 1: CAM.
-        if let Some(slot) = self.cam.search(key) {
-            self.stats.hits_cam += 1;
-            return Some((
-                FlowId::encode(Location::Cam(slot as u32), self.cfg.entries_per_bucket),
-                LookupStage::Cam,
-            ));
-        }
         let (b1, b2) = self.hash_pair(key);
-        // Stage 2: Hash1 → Mem1.
-        if let Some(slot) = self.find_in_bucket(PathId::A, b1, key) {
-            self.stats.hits_mem_a += 1;
-            return Some((
-                FlowId::encode(
-                    Location::Mem {
-                        path: PathId::A,
-                        bucket: b1,
-                        slot,
-                    },
-                    self.cfg.entries_per_bucket,
-                ),
-                LookupStage::MemA,
-            ));
-        }
-        // Stage 3: Hash2 → Mem2.
-        if let Some(slot) = self.find_in_bucket(PathId::B, b2, key) {
-            self.stats.hits_mem_b += 1;
-            return Some((
-                FlowId::encode(
-                    Location::Mem {
-                        path: PathId::B,
-                        bucket: b2,
-                        slot,
-                    },
-                    self.cfg.entries_per_bucket,
-                ),
-                LookupStage::MemB,
-            ));
-        }
-        self.stats.misses += 1;
-        None
+        self.lookup_with_buckets(key, b1, b2)
     }
 
     /// Stage-1-only search: is `key` resident in the overflow CAM?
@@ -351,13 +311,18 @@ impl HashCamTable {
 
     /// Lookup without statistics (for assertions).
     pub fn peek(&self, key: &FlowKey) -> Option<FlowId> {
-        if let Some(slot) = self.cam.peek(key) {
-            return Some(FlowId::encode(
-                Location::Cam(slot as u32),
-                self.cfg.entries_per_bucket,
-            ));
-        }
         let (b1, b2) = self.hash_pair(key);
+        self.peek_with_buckets(key, b1, b2)
+    }
+
+    /// [`peek`](Self::peek) with externally supplied bucket indices: the
+    /// CAM, then bucket `b1` of Mem1, then bucket `b2` of Mem2. Callers
+    /// that already hold a key's bucket pair (the timed simulator's
+    /// descriptors, hash-override flows) search without rehashing.
+    pub fn peek_with_buckets(&self, key: &FlowKey, b1: u32, b2: u32) -> Option<FlowId> {
+        if let Some(fid) = self.cam_peek(key) {
+            return Some(fid);
+        }
         for (path, bucket) in [(PathId::A, b1), (PathId::B, b2)] {
             if let Some(slot) = self.find_in_bucket(path, bucket, key) {
                 return Some(FlowId::encode(
@@ -378,15 +343,13 @@ impl HashCamTable {
     /// its existing ID); [`InsertError::TableFull`] if both buckets and
     /// the CAM are full.
     pub fn insert(&mut self, key: FlowKey) -> Result<FlowId, InsertError> {
-        if let Some(existing) = self.peek(&key) {
-            return Err(InsertError::Duplicate(existing));
-        }
         let (b1, b2) = self.hash_pair(&key);
-        self.insert_at(key, b1, b2)
+        self.insert_with_buckets(key, b1, b2)
     }
 
     /// Inserts with externally supplied bucket indices (hash-override
-    /// stimulus). Same semantics as [`insert`](Self::insert).
+    /// stimulus). Same semantics as [`insert`](Self::insert), with the
+    /// duplicate check made against the CAM and the given buckets.
     ///
     /// # Errors
     ///
@@ -405,7 +368,7 @@ impl HashCamTable {
             b1 < self.cfg.buckets_per_mem && b2 < self.cfg.buckets_per_mem,
             "bucket index out of range"
         );
-        if let Some(existing) = self.peek(&key) {
+        if let Some(existing) = self.peek_with_buckets(&key, b1, b2) {
             return Err(InsertError::Duplicate(existing));
         }
         self.insert_at(key, b1, b2)
@@ -435,7 +398,7 @@ impl HashCamTable {
             b1 < self.cfg.buckets_per_mem && b2 < self.cfg.buckets_per_mem,
             "bucket index out of range"
         );
-        if let Some(existing) = self.peek(&key) {
+        if let Some(existing) = self.peek_with_buckets(&key, b1, b2) {
             return Err(InsertError::Duplicate(existing));
         }
         match prefer {
@@ -444,8 +407,9 @@ impl HashCamTable {
         }
     }
 
-    /// Lookup with externally supplied bucket indices (for flows inserted
-    /// via hash overrides, whose buckets differ from `hash_pair`).
+    /// Three-stage lookup with externally supplied bucket indices (for
+    /// flows inserted via hash overrides, whose buckets differ from
+    /// `hash_pair`); [`lookup`](Self::lookup) is this at the hashed pair.
     pub fn lookup_with_buckets(
         &mut self,
         key: &FlowKey,
@@ -460,16 +424,18 @@ impl HashCamTable {
                 LookupStage::Cam,
             ));
         }
-        for (path, bucket, stage) in [
-            (PathId::A, b1, LookupStage::MemA),
-            (PathId::B, b2, LookupStage::MemB),
-        ] {
+        for (path, bucket) in [(PathId::A, b1), (PathId::B, b2)] {
             if let Some(slot) = self.find_in_bucket(path, bucket, key) {
-                match stage {
-                    LookupStage::MemA => self.stats.hits_mem_a += 1,
-                    LookupStage::MemB => self.stats.hits_mem_b += 1,
-                    LookupStage::Cam => unreachable!(),
-                }
+                let stage = match path {
+                    PathId::A => {
+                        self.stats.hits_mem_a += 1;
+                        LookupStage::MemA
+                    }
+                    PathId::B => {
+                        self.stats.hits_mem_b += 1;
+                        LookupStage::MemB
+                    }
+                };
                 return Some((
                     FlowId::encode(
                         Location::Mem { path, bucket, slot },
@@ -537,10 +503,10 @@ impl HashCamTable {
     ///
     /// [`InsertError::TableFull`] as for [`insert`](Self::insert).
     pub fn lookup_or_insert(&mut self, key: FlowKey) -> Result<(FlowId, bool), InsertError> {
-        if let Some((id, _)) = self.lookup(&key) {
+        let (b1, b2) = self.hash_pair(&key);
+        if let Some((id, _)) = self.lookup_with_buckets(&key, b1, b2) {
             return Ok((id, false));
         }
-        let (b1, b2) = self.hash_pair(&key);
         self.insert_at(key, b1, b2).map(|id| (id, true))
     }
 
@@ -702,6 +668,28 @@ mod tests {
         let id = t.insert(key(1)).unwrap();
         assert_eq!(t.insert(key(1)), Err(InsertError::Duplicate(id)));
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn duplicate_rejected_under_override_buckets() {
+        let mut t = table();
+        let k = key(1);
+        // Buckets the key does not hash to, so the duplicate check must
+        // use the buckets it is given rather than rehash.
+        let (h1, h2) = t.hash_pair(&k);
+        let (b1, b2) = ((h1 + 1) % 256, (h2 + 1) % 256);
+        let first = t.insert_with_buckets(k, b1, b2).unwrap();
+        assert_eq!(
+            t.insert_with_buckets(k, b1, b2),
+            Err(InsertError::Duplicate(first))
+        );
+        assert_eq!(
+            t.insert_with_buckets_preferring(k, b1, b2, PathId::B),
+            Err(InsertError::Duplicate(first))
+        );
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.peek_with_buckets(&k, b1, b2), Some(first));
+        assert_eq!(t.peek(&k), None, "not resident at its hashed buckets");
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! the paper's "two pre-selected hash functions". Choosing independent
 //! `q` matrices yields the independent functions the two-choice table
 //! needs.
+//!
+//! The host model evaluates the XOR tree nibble-sliced: by GF(2)
+//! linearity `h(x)` is the XOR over key nibbles of `h(nibble placed at
+//! its offset)`, so one precomputed 16-entry table per 4 key bits turns
+//! the per-bit walk into two table loads per key byte, bit-identical to
+//! the matrix definition.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,6 +28,9 @@ use crate::HashFunction;
 pub struct H3Hash {
     /// One random word per key bit.
     matrix: Vec<u32>,
+    /// Per whole key byte, the XOR of `matrix` rows selected by every
+    /// value of its low (`[0]`) and high (`[1]`) nibble.
+    nibbles: Vec<[[u32; 16]; 2]>,
     seed: u64,
 }
 
@@ -52,7 +61,35 @@ impl H3Hash {
                 break;
             }
         }
-        H3Hash { matrix, seed }
+        let nibbles = Self::nibble_tables(&matrix);
+        H3Hash {
+            matrix,
+            nibbles,
+            seed,
+        }
+    }
+
+    /// One pair of 16-entry tables per whole key byte of `matrix`: entry
+    /// `n` of table `h` is the XOR of the rows for the set bits of `n`
+    /// shifted to bit offset `8 * byte + 4 * h`.
+    fn nibble_tables(matrix: &[u32]) -> Vec<[[u32; 16]; 2]> {
+        matrix
+            .chunks_exact(8)
+            .map(|rows| {
+                let mut tables = [[0u32; 16]; 2];
+                for (table, rows) in tables.iter_mut().zip(rows.chunks_exact(4)) {
+                    // Entries with bit `i` set are the entries below `2^i`
+                    // XOR row `i`.
+                    for (i, &row) in rows.iter().enumerate() {
+                        let (below, above) = table.split_at_mut(1 << i);
+                        for (hi, lo) in above.iter_mut().zip(below.iter()) {
+                            *hi = lo ^ row;
+                        }
+                    }
+                }
+                tables
+            })
+            .collect()
     }
 
     const MAX_SCREEN_ATTEMPTS: u64 = 64;
@@ -87,6 +124,9 @@ impl H3Hash {
         let mut basis = [0u32; Self::SCREEN_BITS as usize];
         let mut rank = 0;
         for &row in rows {
+            if rank == Self::SCREEN_BITS {
+                break; // full rank: the remaining rows cannot raise it
+            }
             let mut v = row >> (32 - Self::SCREEN_BITS);
             while v != 0 {
                 let lead = (31 - v.leading_zeros()) as usize;
@@ -125,13 +165,26 @@ impl HashFunction for H3Hash {
             key.len() * 8,
             self.matrix.len()
         );
+        self.nibbles.iter().zip(key).fold(0, |acc, (t, &b)| {
+            acc ^ t[0][usize::from(b & 0xF)] ^ t[1][usize::from(b >> 4)]
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The matrix definition evaluated bit by bit: the reference the
+    /// sliced tables must reproduce.
+    fn bit_serial(h: &H3Hash, key: &[u8]) -> u32 {
         let mut acc = 0u32;
         for (byte_idx, &byte) in key.iter().enumerate() {
             let mut b = byte;
             let mut bit_idx = byte_idx * 8;
             while b != 0 {
                 if b & 1 != 0 {
-                    acc ^= self.matrix[bit_idx];
+                    acc ^= h.matrix[bit_idx];
                 }
                 b >>= 1;
                 bit_idx += 1;
@@ -139,11 +192,30 @@ impl HashFunction for H3Hash {
         }
         acc
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn sliced_matches_bit_serial() {
+        let mut rng = StdRng::seed_from_u64(0x51_1CED);
+        for key_bits in [8, 16, 104, 120, 504] {
+            let h = H3Hash::with_seed(key_bits, key_bits as u64);
+            for len in 0..=key_bits / 8 {
+                for _ in 0..32 {
+                    let key: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                    assert_eq!(
+                        h.hash(&key),
+                        bit_serial(&h, &key),
+                        "{key_bits} bits, {key:?}"
+                    );
+                }
+            }
+            // Every single-bit key picks out exactly its matrix row.
+            for bit in 0..key_bits / 8 * 8 {
+                let mut key = vec![0u8; key_bits / 8];
+                key[bit / 8] = 1 << (bit % 8);
+                assert_eq!(h.hash(&key), h.matrix[bit]);
+            }
+        }
+    }
 
     #[test]
     fn deterministic_per_seed() {

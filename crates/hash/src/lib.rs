@@ -5,8 +5,9 @@
 //! the usual choices are CRC circuits, the H3 universal family (XOR of
 //! key-bit-selected random words), and — in NIC practice — the Toeplitz
 //! RSS hash. This crate implements all three behind one object-safe
-//! trait, plus the [`PairHasher`] combinator that yields the two
-//! independent bucket indices the two-choice scheme needs.
+//! trait, plus the [`PairHasher`] — two independently seeded H3
+//! functions — that yields the two bucket indices the two-choice scheme
+//! needs.
 //!
 //! Hash *quality* matters for the reproduction: Table II(A) contrasts
 //! "random hash" input against a crafted bank-increment pattern, and the
@@ -17,12 +18,14 @@
 //! ## Example
 //!
 //! ```
-//! use flowlut_hash::{Crc32, HashFunction, PairHasher, H3Hash};
+//! use flowlut_hash::{HashFunction, PairHasher, H3Hash};
 //!
-//! let pair = PairHasher::new(Box::new(Crc32::ieee()), Box::new(H3Hash::with_seed(104, 7)));
+//! let pair = PairHasher::h3_pair(104, 7);
 //! let key = [10, 0, 0, 1, 192, 168, 0, 1, 0x1F, 0x90, 0x00, 0x50, 6];
 //! let (b1, b2) = pair.bucket_pair(&key, 1 << 20);
 //! assert!(b1 < (1 << 20) && b2 < (1 << 20));
+//! // The first function is the H3 instance seeded `2 * 7 + 1`.
+//! assert_eq!(pair.hashes(&key).0, H3Hash::with_seed(104, 15).hash(&key));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,38 +1,28 @@
 //! Two-choice pair hashing.
 
-use crate::HashFunction;
+use crate::{H3Hash, HashFunction};
 
 /// The "two pre-selected hash functions" of the paper, packaged as one
 /// object that yields both bucket indices for a key.
 ///
-/// The two functions should be drawn from independent families (e.g. a
-/// CRC-32 and an H3 with a private seed, or two H3 instances with
-/// different seeds) so bucket choices are statistically independent —
-/// the property the two-choice load-balancing argument rests on.
-#[derive(Debug)]
+/// Both functions are H3 instances with distinct derived seeds, so
+/// bucket choices are statistically independent — the property the
+/// two-choice load-balancing argument rests on. They are held by value:
+/// every lookup hashes through both, and a concrete pair keeps that a
+/// direct call.
+#[derive(Debug, Clone)]
 pub struct PairHasher {
-    h1: Box<dyn HashFunction>,
-    h2: Box<dyn HashFunction>,
+    h1: H3Hash,
+    h2: H3Hash,
 }
 
 impl PairHasher {
-    /// Combines two hash functions.
-    pub fn new(h1: Box<dyn HashFunction>, h2: Box<dyn HashFunction>) -> Self {
-        PairHasher { h1, h2 }
-    }
-
     /// A ready-made pair for keys up to `key_bits` bits: two H3 functions
     /// with distinct seeds derived from `seed`.
     pub fn h3_pair(key_bits: usize, seed: u64) -> Self {
         PairHasher {
-            h1: Box::new(crate::H3Hash::with_seed(
-                key_bits,
-                seed.wrapping_mul(2).wrapping_add(1),
-            )),
-            h2: Box::new(crate::H3Hash::with_seed(
-                key_bits,
-                seed.wrapping_mul(2).wrapping_add(2),
-            )),
+            h1: H3Hash::with_seed(key_bits, seed.wrapping_mul(2).wrapping_add(1)),
+            h2: H3Hash::with_seed(key_bits, seed.wrapping_mul(2).wrapping_add(2)),
         }
     }
 
@@ -49,22 +39,12 @@ impl PairHasher {
     pub fn bucket_pair(&self, key: &[u8], buckets: u32) -> (u32, u32) {
         (self.h1.bucket(key, buckets), self.h2.bucket(key, buckets))
     }
-
-    /// The first hash function.
-    pub fn first(&self) -> &dyn HashFunction {
-        self.h1.as_ref()
-    }
-
-    /// The second hash function.
-    pub fn second(&self) -> &dyn HashFunction {
-        self.h2.as_ref()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Crc32, H3Hash};
+    use crate::H3Hash;
 
     #[test]
     fn pair_is_deterministic() {
@@ -73,8 +53,20 @@ mod tests {
     }
 
     #[test]
+    fn pair_is_the_two_seeded_h3_functions() {
+        // Pair seed s derives the function seeds 2s + 1 and 2s + 2.
+        let h1 = H3Hash::with_seed(120, 2 * 0x5EED + 1);
+        let h2 = H3Hash::with_seed(120, 2 * 0x5EED + 2);
+        let p = PairHasher::h3_pair(120, 0x5EED);
+        for i in 0..200u64 {
+            let key = (i * 0x9E37_79B9).to_le_bytes();
+            assert_eq!(p.hashes(&key), (h1.hash(&key), h2.hash(&key)));
+        }
+    }
+
+    #[test]
     fn two_functions_disagree() {
-        let p = PairHasher::new(Box::new(Crc32::ieee()), Box::new(H3Hash::with_seed(64, 5)));
+        let p = PairHasher::h3_pair(64, 5);
         // On a sample of keys the two hashes should differ (independence
         // smoke test: identical functions would defeat two-choice).
         let mut same = 0;
