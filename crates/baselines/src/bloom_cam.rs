@@ -1,10 +1,11 @@
 //! Non-collision hashing via Bloom filter + CAM (Li, reference \[8\]).
 
 use flowlut_cam::Cam;
-use flowlut_hash::{H3Hash, HashFunction};
+use flowlut_core::backend::{FlowBackend, FlowStore, FullError, OpStats};
+use flowlut_hash::H3Hash;
 use flowlut_traffic::FlowKey;
 
-use crate::traits::{FlowTable, FullError, OpStats};
+use crate::traits::full_error;
 
 /// Li's collision-free hash table: a single hash memory with
 /// single-entry cells, a Bloom-style occupancy summary kept on chip, and
@@ -55,14 +56,9 @@ impl BloomCamTable {
     pub fn cam_len(&self) -> usize {
         self.cam.len()
     }
-}
 
-impl FlowTable for BloomCamTable {
-    fn name(&self) -> &'static str {
-        "bloom+cam"
-    }
-
-    fn insert(&mut self, key: FlowKey) -> Result<(), FullError> {
+    /// Places `key`, which the caller has checked is not resident.
+    fn place(&mut self, key: FlowKey) -> Result<(), FullError> {
         self.stats.inserts += 1;
         let c = self.cell_of(&key);
         if self.occupied[c] {
@@ -75,7 +71,7 @@ impl FlowTable for BloomCamTable {
                 }
                 Err(_) => {
                     self.stats.rejected += 1;
-                    Err(self.full_error(key))
+                    Err(full_error(self, key))
                 }
             }
         } else {
@@ -85,6 +81,19 @@ impl FlowTable for BloomCamTable {
             self.len += 1;
             Ok(())
         }
+    }
+}
+
+impl FlowStore for BloomCamTable {
+    fn name(&self) -> &'static str {
+        "bloom+cam"
+    }
+
+    fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
+        if self.contains(&key) {
+            return Ok(false);
+        }
+        self.place(key).map(|()| true)
     }
 
     fn contains(&mut self, key: &FlowKey) -> bool {
@@ -123,18 +132,20 @@ impl FlowTable for BloomCamTable {
         }
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn len(&self) -> u64 {
+        self.len as u64
     }
 
-    fn capacity(&self) -> usize {
-        self.cells.len() + self.cam.capacity()
+    fn capacity(&self) -> u64 {
+        (self.cells.len() + self.cam.capacity()) as u64
     }
 
     fn op_stats(&self) -> OpStats {
         self.stats
     }
 }
+
+impl FlowBackend for BloomCamTable {}
 
 #[cfg(test)]
 mod tests {

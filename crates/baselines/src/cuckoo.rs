@@ -1,9 +1,10 @@
 //! Two-function cuckoo hashing with kick-out insertion.
 
-use flowlut_hash::{H3Hash, HashFunction};
+use flowlut_core::backend::{FlowBackend, FlowStore, FullError, OpStats};
+use flowlut_hash::H3Hash;
 use flowlut_traffic::FlowKey;
 
-use crate::traits::{FlowTable, FullError, OpStats};
+use crate::traits::full_error;
 
 /// A two-table cuckoo hash (Thinh et al., the paper's reference \[7\]).
 ///
@@ -73,14 +74,9 @@ impl CuckooTable {
     pub fn lost_keys(&self) -> u64 {
         self.lost_keys
     }
-}
 
-impl FlowTable for CuckooTable {
-    fn name(&self) -> &'static str {
-        "cuckoo"
-    }
-
-    fn insert(&mut self, key: FlowKey) -> Result<(), FullError> {
+    /// Places `key`, which the caller has checked is not resident.
+    fn place(&mut self, key: FlowKey) -> Result<(), FullError> {
         self.stats.inserts += 1;
         let mut cur = key;
         let mut table = 0usize;
@@ -124,8 +120,21 @@ impl FlowTable for CuckooTable {
             // lost, recorded in `lost_keys` (net length unchanged).
             self.lost_keys += 1;
             self.stats.rejected += 1;
-            Err(self.full_error(key))
+            Err(full_error(self, key))
         }
+    }
+}
+
+impl FlowStore for CuckooTable {
+    fn name(&self) -> &'static str {
+        "cuckoo"
+    }
+
+    fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
+        if self.contains(&key) {
+            return Ok(false);
+        }
+        self.place(key).map(|()| true)
     }
 
     fn contains(&mut self, key: &FlowKey) -> bool {
@@ -159,18 +168,20 @@ impl FlowTable for CuckooTable {
         false
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn len(&self) -> u64 {
+        self.len as u64
     }
 
-    fn capacity(&self) -> usize {
-        self.tables[0].len() + self.tables[1].len() + self.stash_capacity
+    fn capacity(&self) -> u64 {
+        (self.tables[0].len() + self.tables[1].len() + self.stash_capacity) as u64
     }
 
     fn op_stats(&self) -> OpStats {
         self.stats
     }
 }
+
+impl FlowBackend for CuckooTable {}
 
 #[cfg(test)]
 mod tests {

@@ -2,7 +2,7 @@
 //!
 //! The paper positions its DDR3 Hash-CAM scheme against the hash-table
 //! families of its related-work section. This crate implements each of
-//! them behind one [`FlowTable`] trait, instrumented with **memory-probe
+//! them behind the workspace-wide [`FlowStore`] trait, instrumented with **memory-probe
 //! counters** — the metric that decides DDR3 suitability, because every
 //! bucket probe is a DRAM burst with row-cycle and turnaround cost:
 //!
@@ -20,37 +20,37 @@
 //! * [`SimultaneousHashCam`] — the *conventional* Hash-CAM that queries
 //!   the CAM and both hash memories at once: the ablation baseline for
 //!   the paper's early-exit pipeline (it always pays two memory reads
-//!   per lookup);
-//! * [`bloom`] — standard, counting and parallel Bloom filters (\[2–5\])
-//!   with false-positive measurement, as membership-only comparators.
+//!   per lookup).
 //!
-//! Every table here implements two traits: the crate-local low-level
-//! [`FlowTable`] (raw insert, exact probe accounting) and the
-//! workspace-wide [`FlowStore`](flowlut_core::backend::FlowStore) /
-//! [`FlowBackend`](flowlut_core::backend::FlowBackend) (upsert
-//! semantics), so one `Box<dyn FlowBackend>` registry can hold these
-//! baselines next to the paper's table and the timed simulators — see
+//! Every table here implements [`FlowStore`] (upsert `insert`, exact
+//! probe accounting in [`OpStats`](flowlut_core::backend::OpStats)) and
+//! [`FlowBackend`](flowlut_core::backend::FlowBackend), so one
+//! `Box<dyn FlowBackend>` registry can hold these baselines next to the
+//! paper's table and the timed simulators — see
 //! `examples/baseline_comparison.rs`.
+//!
+//! [`FlowStore`]: flowlut_core::backend::FlowStore
 //!
 //! ## Example
 //!
 //! ```
-//! use flowlut_baselines::{CuckooTable, FlowTable};
+//! use flowlut_baselines::CuckooTable;
+//! use flowlut_core::backend::{FlowStore, FullError};
 //! use flowlut_traffic::{FiveTuple, FlowKey};
 //!
 //! let mut t = CuckooTable::new(1024, 4, 500, 7);
 //! let key = FlowKey::from(FiveTuple::from_index(1));
-//! t.insert(key)?;
+//! assert!(t.insert(key)?, "newly inserted");
+//! assert!(!t.insert(key)?, "a resident key is an upsert no-op");
 //! assert!(t.contains(&key));
 //! println!("{} probes so far", t.op_stats().mem_reads);
-//! # Ok::<(), flowlut_baselines::FullError>(())
+//! # Ok::<(), FullError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod bloom;
 mod bloom_cam;
 mod cuckoo;
 mod dleft;
@@ -65,4 +65,3 @@ pub use dleft::DLeftTable;
 pub use one_move::OneMoveTable;
 pub use simul::SimultaneousHashCam;
 pub use single::SingleHashTable;
-pub use traits::{FlowTable, FullError, OpStats};

@@ -1,10 +1,11 @@
 //! Kirsch–Mitzenmacher "power of one move" hashing.
 
 use flowlut_cam::Cam;
-use flowlut_hash::{H3Hash, HashFunction};
+use flowlut_core::backend::{FlowBackend, FlowStore, FullError, OpStats};
+use flowlut_hash::H3Hash;
 use flowlut_traffic::FlowKey;
 
-use crate::traits::{FlowTable, FullError, OpStats};
+use crate::traits::full_error;
 
 /// The single-move multiple-choice hash table of the paper's reference
 /// \[9\] (Kirsch & Mitzenmacher, "The Power of One Move: Hashing Schemes
@@ -149,14 +150,9 @@ impl OneMoveTable {
         self.stats.cam_spills += 1;
         Some(())
     }
-}
 
-impl FlowTable for OneMoveTable {
-    fn name(&self) -> &'static str {
-        "one-move"
-    }
-
-    fn insert(&mut self, key: FlowKey) -> Result<(), FullError> {
+    /// Places `key`, which the caller has checked is not resident.
+    fn place(&mut self, key: FlowKey) -> Result<(), FullError> {
         self.stats.inserts += 1;
         self.stats.mem_reads += self.hashes.len() as u64;
         if self.try_direct_insert(&key).is_some()
@@ -169,8 +165,21 @@ impl FlowTable for OneMoveTable {
             // try_move_to_cam only fails when the CAM itself is full, so
             // there is nowhere left to place the key.
             self.stats.rejected += 1;
-            Err(self.full_error(key))
+            Err(full_error(self, key))
         }
+    }
+}
+
+impl FlowStore for OneMoveTable {
+    fn name(&self) -> &'static str {
+        "one-move"
+    }
+
+    fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
+        if self.contains(&key) {
+            return Ok(false);
+        }
+        self.place(key).map(|()| true)
     }
 
     fn contains(&mut self, key: &FlowKey) -> bool {
@@ -207,18 +216,20 @@ impl FlowTable for OneMoveTable {
         false
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn len(&self) -> u64 {
+        self.len as u64
     }
 
-    fn capacity(&self) -> usize {
-        self.tables.iter().map(|t| t.len() * self.k).sum::<usize>() + self.cam.capacity()
+    fn capacity(&self) -> u64 {
+        (self.tables.iter().map(|t| t.len() * self.k).sum::<usize>() + self.cam.capacity()) as u64
     }
 
     fn op_stats(&self) -> OpStats {
         self.stats
     }
 }
+
+impl FlowBackend for OneMoveTable {}
 
 #[cfg(test)]
 mod tests {

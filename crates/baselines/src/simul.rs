@@ -1,10 +1,11 @@
 //! Conventional simultaneous-lookup Hash-CAM (the early-exit ablation).
 
 use flowlut_cam::Cam;
-use flowlut_hash::{H3Hash, HashFunction};
+use flowlut_core::backend::{FlowBackend, FlowStore, FullError, OpStats};
+use flowlut_hash::H3Hash;
 use flowlut_traffic::FlowKey;
 
-use crate::traits::{FlowTable, FullError, OpStats};
+use crate::traits::full_error;
 
 /// The *conventional* Hash-CAM table: identical storage layout to the
 /// paper's scheme (two-choice buckets in two memories plus an overflow
@@ -55,14 +56,9 @@ impl SimultaneousHashCam {
     fn bucket_of(&self, mem: usize, key: &FlowKey) -> usize {
         self.hashes[mem].bucket(key.as_bytes(), self.mems[mem].len() as u32) as usize
     }
-}
 
-impl FlowTable for SimultaneousHashCam {
-    fn name(&self) -> &'static str {
-        "simultaneous-hashcam"
-    }
-
-    fn insert(&mut self, key: FlowKey) -> Result<(), FullError> {
+    /// Places `key`, which the caller has checked is not resident.
+    fn place(&mut self, key: FlowKey) -> Result<(), FullError> {
         self.stats.inserts += 1;
         for mem in 0..2 {
             let b = self.bucket_of(mem, &key);
@@ -82,9 +78,22 @@ impl FlowTable for SimultaneousHashCam {
             }
             Err(_) => {
                 self.stats.rejected += 1;
-                Err(self.full_error(key))
+                Err(full_error(self, key))
             }
         }
+    }
+}
+
+impl FlowStore for SimultaneousHashCam {
+    fn name(&self) -> &'static str {
+        "simultaneous-hashcam"
+    }
+
+    fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
+        if self.contains(&key) {
+            return Ok(false);
+        }
+        self.place(key).map(|()| true)
     }
 
     fn contains(&mut self, key: &FlowKey) -> bool {
@@ -122,18 +131,20 @@ impl FlowTable for SimultaneousHashCam {
         false
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn len(&self) -> u64 {
+        self.len as u64
     }
 
-    fn capacity(&self) -> usize {
-        2 * self.mems[0].len() * self.k + self.cam.capacity()
+    fn capacity(&self) -> u64 {
+        (2 * self.mems[0].len() * self.k + self.cam.capacity()) as u64
     }
 
     fn op_stats(&self) -> OpStats {
         self.stats
     }
 }
+
+impl FlowBackend for SimultaneousHashCam {}
 
 #[cfg(test)]
 mod tests {

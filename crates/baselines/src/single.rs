@@ -1,9 +1,10 @@
 //! Conventional single-hash bucket table.
 
-use flowlut_hash::{H3Hash, HashFunction};
+use flowlut_core::backend::{FlowBackend, FlowStore, FullError, OpStats};
+use flowlut_hash::H3Hash;
 use flowlut_traffic::FlowKey;
 
-use crate::traits::{FlowTable, FullError, OpStats};
+use crate::traits::full_error;
 
 /// A single-hash-function table with `buckets` buckets of `k` slots.
 ///
@@ -41,14 +42,9 @@ impl SingleHashTable {
     fn bucket_of(&self, key: &FlowKey) -> usize {
         self.hash.bucket(key.as_bytes(), self.buckets.len() as u32) as usize
     }
-}
 
-impl FlowTable for SingleHashTable {
-    fn name(&self) -> &'static str {
-        "single-hash"
-    }
-
-    fn insert(&mut self, key: FlowKey) -> Result<(), FullError> {
+    /// Places `key`, which the caller has checked is not resident.
+    fn place(&mut self, key: FlowKey) -> Result<(), FullError> {
         self.stats.inserts += 1;
         let b = self.bucket_of(&key);
         self.stats.mem_reads += 1; // read-modify-write of the bucket
@@ -59,8 +55,21 @@ impl FlowTable for SingleHashTable {
             Ok(())
         } else {
             self.stats.rejected += 1;
-            Err(self.full_error(key))
+            Err(full_error(self, key))
         }
+    }
+}
+
+impl FlowStore for SingleHashTable {
+    fn name(&self) -> &'static str {
+        "single-hash"
+    }
+
+    fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
+        if self.contains(&key) {
+            return Ok(false);
+        }
+        self.place(key).map(|()| true)
     }
 
     fn contains(&mut self, key: &FlowKey) -> bool {
@@ -83,18 +92,20 @@ impl FlowTable for SingleHashTable {
         }
     }
 
-    fn len(&self) -> usize {
-        self.len
+    fn len(&self) -> u64 {
+        self.len as u64
     }
 
-    fn capacity(&self) -> usize {
-        self.buckets.len() * self.k
+    fn capacity(&self) -> u64 {
+        (self.buckets.len() * self.k) as u64
     }
 
     fn op_stats(&self) -> OpStats {
         self.stats
     }
 }
+
+impl FlowBackend for SingleHashTable {}
 
 #[cfg(test)]
 mod tests {

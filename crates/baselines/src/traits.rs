@@ -1,166 +1,37 @@
-//! The common baseline interface.
-//!
-//! [`FlowTable`] is the crate's *low-level* trait: raw insert (duplicate
-//! insertion is a caller error), exact membership, probe counting. Every
-//! baseline additionally implements the workspace-wide
-//! [`FlowStore`](flowlut_core::backend::FlowStore)/[`FlowBackend`](flowlut_core::backend::FlowBackend)
-//! traits (from `flowlut_core::backend`),
-//! whose upsert `insert` and unified error/statistics types let one
-//! generic harness drive baselines, the paper's table, and the timed
-//! simulators interchangeably.
+//! What the baselines share: every table implements the workspace-wide
+//! [`FlowStore`]/[`FlowBackend`](flowlut_core::backend::FlowBackend)
+//! traits directly. Its `insert` is an upsert — a membership probe, then
+//! the table's private raw `place` — so one generic harness drives the
+//! baselines, the paper's table and the timed simulators alike.
 
-use std::fmt;
-
+use flowlut_core::backend::{FlowStore, FullError};
 use flowlut_traffic::FlowKey;
 
-/// Insertion failed: the structure could not place the key.
-///
-/// This is the workspace-wide [`FullError`](flowlut_core::backend::FullError)
-/// (the historical `BaselineFullError` alias is retired). It carries the
-/// rejected key and the occupancy at rejection time, so callers can log
-/// what failed and how full the structure was; it also folds into the
-/// unified [`FlowError`](flowlut_core::FlowError) hierarchy.
-pub use flowlut_core::backend::FullError;
-
-/// Memory-access accounting: the currency all baselines are compared in.
-///
-/// Re-export of the workspace-wide [`OpStats`](flowlut_core::backend::OpStats);
-/// see there for the accounting rules.
-pub use flowlut_core::backend::OpStats;
-
-/// An exact-membership flow table baseline (low-level trait).
-///
-/// All implementations are deterministic given their construction seed,
-/// store [`FlowKey`]s exactly (no false positives), and count their
-/// memory traffic in [`OpStats`].
-pub trait FlowTable: fmt::Debug {
-    /// Human-readable structure name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Inserts `key`.
-    ///
-    /// # Errors
-    ///
-    /// [`FullError`] if the structure cannot place the key.
-    /// Inserting a key that is already present is a caller error with
-    /// implementation-defined (but memory-safe) behaviour; callers look
-    /// up before inserting, as the flow pipeline does (the
-    /// [`FlowStore`](flowlut_core::backend::FlowStore)
-    /// view does exactly that).
-    fn insert(&mut self, key: FlowKey) -> Result<(), FullError>;
-
-    /// Membership query.
-    fn contains(&mut self, key: &FlowKey) -> bool;
-
-    /// Removes `key`; returns whether it was present.
-    fn remove(&mut self, key: &FlowKey) -> bool;
-
-    /// Number of resident keys.
-    fn len(&self) -> usize;
-
-    /// `true` when empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total key capacity (including any overflow CAM).
-    fn capacity(&self) -> usize;
-
-    /// Memory-access accounting so far.
-    fn op_stats(&self) -> OpStats;
-
-    /// Builds the [`FullError`] for a rejected `key`, capturing the
-    /// structure's name and its occupancy at rejection time.
-    fn full_error(&self, key: FlowKey) -> FullError {
-        FullError {
-            table: self.name(),
-            key,
-            occupancy: self.len() as u64,
-            capacity: self.capacity() as u64,
-        }
+/// Builds the [`FullError`] for a rejected `key`, capturing the
+/// structure's name and its occupancy at rejection time.
+pub(crate) fn full_error(table: &dyn FlowStore, key: FlowKey) -> FullError {
+    FullError {
+        table: table.name(),
+        key,
+        occupancy: table.len(),
+        capacity: table.capacity(),
     }
 }
-
-/// Implements the workspace-wide [`FlowStore`]/[`FlowBackend`] traits for
-/// a baseline by delegating to its [`FlowTable`] impl, with upsert
-/// `insert` semantics (inserting a resident key reports `Ok(false)`).
-///
-/// [`FlowStore`]: flowlut_core::backend::FlowStore
-/// [`FlowBackend`]: flowlut_core::backend::FlowBackend
-macro_rules! impl_flow_backend {
-    ($($t:ty),+ $(,)?) => {$(
-        impl flowlut_core::backend::FlowStore for $t {
-            fn name(&self) -> &'static str {
-                FlowTable::name(self)
-            }
-
-            fn insert(&mut self, key: FlowKey) -> Result<bool, FullError> {
-                if FlowTable::contains(self, &key) {
-                    return Ok(false);
-                }
-                FlowTable::insert(self, key).map(|()| true)
-            }
-
-            fn contains(&mut self, key: &FlowKey) -> bool {
-                FlowTable::contains(self, key)
-            }
-
-            fn remove(&mut self, key: &FlowKey) -> bool {
-                FlowTable::remove(self, key)
-            }
-
-            fn len(&self) -> u64 {
-                FlowTable::len(self) as u64
-            }
-
-            fn capacity(&self) -> u64 {
-                FlowTable::capacity(self) as u64
-            }
-
-            fn op_stats(&self) -> OpStats {
-                FlowTable::op_stats(self)
-            }
-        }
-
-        impl flowlut_core::backend::FlowBackend for $t {}
-    )+};
-}
-
-impl_flow_backend!(
-    crate::BloomCamTable,
-    crate::CuckooTable,
-    crate::DLeftTable,
-    crate::OneMoveTable,
-    crate::SimultaneousHashCam,
-    crate::SingleHashTable,
-);
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use flowlut_core::backend::FlowBackend;
-    use flowlut_traffic::FiveTuple;
+    use flowlut_core::backend::{FlowBackend, FlowStore};
+    use flowlut_traffic::{FiveTuple, FlowKey};
 
     fn key(i: u64) -> FlowKey {
         FlowKey::from(FiveTuple::from_index(i))
     }
 
     #[test]
-    fn reads_per_lookup() {
-        let s = OpStats {
-            mem_reads: 30,
-            lookups: 20,
-            ..OpStats::default()
-        };
-        assert!((s.reads_per_lookup() - 1.5).abs() < 1e-12);
-        assert_eq!(OpStats::default().reads_per_lookup(), 0.0);
-    }
-
-    #[test]
     fn error_display_carries_context() {
         let mut t = crate::SingleHashTable::new(1, 1, 7);
-        FlowTable::insert(&mut t, key(0)).unwrap();
-        let e = FlowTable::insert(&mut t, key(1)).unwrap_err();
+        t.insert(key(0)).unwrap();
+        let e = t.insert(key(1)).unwrap_err();
         assert_eq!(e.key, key(1));
         assert_eq!(e.occupancy, 1);
         assert_eq!(e.capacity, 1);

@@ -12,8 +12,9 @@
 //! Modes: default (full sizes), `--smoke` (run-check only; numbers not
 //! meaningful).
 
-use flowlut_baselines::{FlowTable, SimultaneousHashCam};
+use flowlut_baselines::SimultaneousHashCam;
 use flowlut_bench::scaled;
+use flowlut_core::backend::FlowStore;
 use flowlut_core::{FlowLutSim, HashCamTable, LookupStage, SimConfig, TableConfig};
 use flowlut_traffic::workloads::MatchRateWorkload;
 use flowlut_traffic::{FiveTuple, FlowKey};

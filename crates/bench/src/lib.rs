@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-use std::fmt::Display;
 use std::path::PathBuf;
 
 /// One row of a paper-vs-measured comparison.
@@ -158,21 +157,6 @@ pub fn print_comparison(title: &str, unit: &str, rows: &[Row]) {
             r.measured,
             r.ratio()
         );
-    }
-}
-
-/// Prints a generic two-column series (for figures).
-pub fn print_series<X: Display, Y: Display>(
-    title: &str,
-    x_name: &str,
-    y_name: &str,
-    points: &[(X, Y)],
-) {
-    println!("\n=== {title} ===");
-    println!("{x_name:>12} {y_name:>16}");
-    println!("{}", "-".repeat(30));
-    for (x, y) in points {
-        println!("{x:>12} {y:>16}");
     }
 }
 

@@ -9,11 +9,8 @@
 //!   style free-list allocator, and occupancy statistics. The host model
 //!   answers a search through a key index rather than a slot scan. The flow table
 //!   sizes this block and reports it in the Table I resource model.
-//! * [`Tcam`]: a ternary CAM (per-entry masks) supporting the paper's
-//!   "scalable in the number of tuples" discussion — wildcarded tuple
-//!   fields are exactly what a TCAM provides.
 //!
-//! Both types are cycle-free data structures: latency modelling (one
+//! [`Cam`] is a cycle-free data structure: latency modelling (one
 //! system-clock cycle per search) is handled by the simulator in
 //! `flowlut-core`, which simply accounts a constant per search.
 //!
@@ -34,8 +31,6 @@
 
 mod binary;
 mod stats;
-mod ternary;
 
 pub use binary::{Cam, CamFullError};
 pub use stats::CamStats;
-pub use ternary::{Tcam, TcamEntry};

@@ -1,6 +1,6 @@
 //! CAM statistics.
 
-/// Counters maintained by [`Cam`](crate::Cam) and [`Tcam`](crate::Tcam).
+/// Counters maintained by [`Cam`](crate::Cam).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CamStats {

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use flowlut_cam::{Cam, CamFullError, CamStats, Tcam, TcamEntry};
+use flowlut_cam::{Cam, CamFullError, CamStats};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -238,21 +238,5 @@ proptest! {
         let expected = (0..cam.capacity()).find(|s| !occupied.contains(s)).unwrap();
         let got = cam.insert(999).unwrap();
         prop_assert_eq!(got, expected);
-    }
-
-    /// TCAM: the lowest matching slot always wins, for arbitrary rules.
-    #[test]
-    fn tcam_priority(
-        rules in prop::collection::vec((any::<u64>(), any::<u64>()), 1..16),
-        probe in any::<u64>(),
-    ) {
-        let mut tcam = Tcam::new(rules.len());
-        for (i, (value, mask)) in rules.iter().enumerate() {
-            tcam.write(i, TcamEntry { value: u128::from(*value), mask: u128::from(*mask) });
-        }
-        let expected = rules
-            .iter()
-            .position(|(v, m)| (u128::from(probe) & u128::from(*m)) == (u128::from(*v) & u128::from(*m)));
-        prop_assert_eq!(tcam.search(u128::from(probe)), expected);
     }
 }

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use flowlut_cam::Cam;
-use flowlut_hash::{H3Hash, HashFunction};
+use flowlut_hash::H3Hash;
 use flowlut_traffic::FlowKey;
 
 use crate::error::{ConfigError, InsertError};

@@ -71,7 +71,7 @@ fn park_lock(park: &Mutex<()>) -> MutexGuard<'_, ()> {
 /// Coordination state of the worker pool: a hand-rolled generation
 /// barrier (see the module docs for the protocol and ordering audit).
 #[derive(Debug)]
-pub struct PoolShared {
+struct PoolShared {
     /// Round generation; bumped to start a round.
     gen: AtomicU64,
     /// Engine cycle for the current round, published before `gen`.

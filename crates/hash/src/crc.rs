@@ -4,8 +4,6 @@
 //! to a small XOR network and have excellent bit dispersion for the
 //! structured keys (IP addresses, ports) that flow tables see.
 
-use crate::HashFunction;
-
 /// A reflected table-driven CRC-32.
 ///
 /// Two standard polynomials are provided: [`Crc32::ieee`] (Ethernet
@@ -59,10 +57,9 @@ impl Crc32 {
     pub fn polynomial(&self) -> u32 {
         self.polynomial
     }
-}
 
-impl HashFunction for Crc32 {
-    fn hash(&self, key: &[u8]) -> u32 {
+    /// Hashes `key` to 32 bits.
+    pub fn hash(&self, key: &[u8]) -> u32 {
         let mut crc = self.init;
         for &b in key {
             crc = (crc >> 8) ^ self.table[((crc ^ u32::from(b)) & 0xFF) as usize];

@@ -17,8 +17,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::HashFunction;
-
 /// An H3 universal hash over keys of at most `key_bits` bits.
 ///
 /// Keys shorter than `key_bits` are treated as zero-padded (XOR of
@@ -150,15 +148,15 @@ impl H3Hash {
     pub fn seed(&self) -> u64 {
         self.seed
     }
-}
 
-impl HashFunction for H3Hash {
+    /// Hashes `key` to 32 bits.
+    ///
     /// # Panics
     ///
     /// Panics if `key.len() * 8 > key_bits()` — the circuit has no inputs
     /// for the extra bits, and truncating silently would corrupt flow
     /// identity.
-    fn hash(&self, key: &[u8]) -> u32 {
+    pub fn hash(&self, key: &[u8]) -> u32 {
         assert!(
             key.len() * 8 <= self.matrix.len(),
             "key of {} bits exceeds H3 circuit width {}",
@@ -168,6 +166,20 @@ impl HashFunction for H3Hash {
         self.nibbles.iter().zip(key).fold(0, |acc, (t, &b)| {
             acc ^ t[0][usize::from(b & 0xF)] ^ t[1][usize::from(b >> 4)]
         })
+    }
+
+    /// Reduces the hash of `key` to a bucket index in `0..buckets`.
+    ///
+    /// Uses the high-multiply range reduction (`(hash * buckets) >> 32`)
+    /// rather than modulo: it is what FPGA designs do to avoid a divider,
+    /// and it is bias-free for power-of-two bucket counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buckets` is zero, or as [`H3Hash::hash`] does.
+    pub fn bucket(&self, key: &[u8], buckets: u32) -> u32 {
+        assert!(buckets > 0, "bucket count must be non-zero");
+        ((u64::from(self.hash(key)) * u64::from(buckets)) >> 32) as u32
     }
 }
 
@@ -249,6 +261,22 @@ mod tests {
         // Key with only bit 9 set (second byte, bit 1).
         let key = [0u8, 0b0000_0010];
         assert_eq!(h.hash(&key), h.matrix[9]);
+    }
+
+    #[test]
+    fn bucket_reduction_in_range() {
+        let h = H3Hash::with_seed(64, 1);
+        for buckets in [1u32, 2, 3, 7, 1024, u32::MAX] {
+            for key in [&b"a"[..], b"bb", b"ccc"] {
+                assert!(h.bucket(key, buckets) < buckets);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-zero")]
+    fn zero_buckets_panics() {
+        H3Hash::with_seed(64, 1).bucket(b"x", 0);
     }
 
     #[test]

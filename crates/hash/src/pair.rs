@@ -1,6 +1,6 @@
 //! Two-choice pair hashing.
 
-use crate::{H3Hash, HashFunction};
+use crate::H3Hash;
 
 /// The "two pre-selected hash functions" of the paper, packaged as one
 /// object that yields both bucket indices for a key.

@@ -109,15 +109,6 @@ pub fn new_flow_ratio(descriptors: &[PacketDescriptor], window: usize) -> f64 {
     new_flows as f64 / window as f64
 }
 
-/// Evaluates [`new_flow_ratio`] over a series of window sizes, returning
-/// `(window, ratio)` pairs — one Figure 6 curve.
-pub fn new_flow_curve(descriptors: &[PacketDescriptor], windows: &[usize]) -> Vec<(usize, f64)> {
-    windows
-        .iter()
-        .map(|&w| (w, new_flow_ratio(descriptors, w)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,9 +162,9 @@ mod tests {
     fn curve_is_monotone_decreasing() {
         let p = FabricTraceProfile::european_2012();
         let trace = p.generate(100_000);
-        let curve = new_flow_curve(&trace, &[1_000, 10_000, 100_000]);
-        assert!(curve[0].1 > curve[1].1);
-        assert!(curve[1].1 > curve[2].1);
+        let curve = [1_000, 10_000, 100_000].map(|w| new_flow_ratio(&trace, w));
+        assert!(curve[0] > curve[1]);
+        assert!(curve[1] > curve[2]);
     }
 
     #[test]
