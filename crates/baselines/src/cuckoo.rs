@@ -26,7 +26,6 @@ pub struct CuckooTable {
     len: usize,
     stats: OpStats,
     worst_insert_kicks: u64,
-    lost_keys: u64,
 }
 
 impl CuckooTable {
@@ -55,7 +54,6 @@ impl CuckooTable {
             len: 0,
             stats: OpStats::default(),
             worst_insert_kicks: 0,
-            lost_keys: 0,
         }
     }
 
@@ -67,12 +65,6 @@ impl CuckooTable {
     /// build-time nondeterminism metric.
     pub fn worst_insert_kicks(&self) -> u64 {
         self.worst_insert_kicks
-    }
-
-    /// Resident keys dropped because an aborted kick chain found the
-    /// victim stash full. Non-zero only after failed inserts.
-    pub fn lost_keys(&self) -> u64 {
-        self.lost_keys
     }
 
     /// Places `key`, which the caller has checked is not resident.
@@ -114,11 +106,20 @@ impl CuckooTable {
             self.len += 1; // the new key landed; the victim stays resident
             Ok(())
         } else {
-            // Stash full: the chain tail is dropped, exactly as a
-            // hardware pipeline with a full victim buffer would drop it.
-            // The new key *is* resident; one previously resident key was
-            // lost, recorded in `lost_keys` (net length unchanged).
-            self.lost_keys += 1;
+            // Stash full: undo the chain so the table is exactly as it
+            // was and `key` is the one left out. Every cell on the chain
+            // holds the key moved into it, and the key it evicted hashes
+            // to that same cell, so each swap back restores one kick.
+            table ^= 1;
+            for _ in 0..kicks {
+                let cell = self.cell_of(table, &cur);
+                if let Some(moved) = self.tables[table][cell].replace(cur) {
+                    cur = moved;
+                }
+                self.stats.mem_writes += 1;
+                table ^= 1;
+            }
+            debug_assert_eq!(cur, key, "the unwound chain ends at the rejected key");
             self.stats.rejected += 1;
             Err(full_error(self, key))
         }
@@ -257,16 +258,30 @@ mod tests {
 
     #[test]
     fn insert_fails_when_kick_budget_exhausted() {
-        // Tiny table, force failure.
+        // Tiny table, force failure: a rejected insert must leave the
+        // rejected key out and every accepted key in.
         let mut t = CuckooTable::new(4, 1, 8, 2);
+        let mut accepted = Vec::new();
         let mut failed = false;
         for i in 0..40 {
-            if t.insert(key(i)).is_err() {
-                failed = true;
-                break;
+            let len = t.len();
+            match t.insert(key(i)) {
+                Ok(_) => accepted.push(i),
+                Err(e) => {
+                    failed = true;
+                    assert_eq!(e.key, key(i));
+                    assert!(!t.contains(&key(i)), "rejected key {i} is resident");
+                    assert_eq!(t.len(), len, "a rejected insert changed len");
+                }
+            }
+            for &a in &accepted {
+                assert!(
+                    t.contains(&key(a)),
+                    "accepted key {a} lost after insert {i}"
+                );
             }
         }
         assert!(failed, "overloading an 8-cell cuckoo must fail");
-        assert!(t.lost_keys() > 0, "failed inserts drop chain tails");
+        assert_eq!(t.len(), accepted.len() as u64);
     }
 }

@@ -43,17 +43,6 @@ pub struct EngineConfig {
     pub router_seed: u64,
     /// Aggregate offered descriptor rate in MHz, across all shards.
     pub input_rate_mhz: f64,
-    /// Per-shard ingest batch: the splitter hands descriptors to a
-    /// channel in groups of this size, preserving the paper's
-    /// burst-grouping within each channel.
-    pub batch: usize,
-    /// A partially filled batch is flushed after this many system cycles
-    /// (bounds latency on shard-quiet traffic, like BWr_Gen's timeout).
-    pub batch_timeout_sys: u64,
-    /// Per-shard staging capacity at the splitter. When one shard's
-    /// staging fills (its channel is saturated), the splitter stalls the
-    /// whole input — head-of-line, as a hardware distributor would.
-    pub staging_cap: usize,
     /// Which host threads step the shards each cycle (bit-identical
     /// either way; see [`ExecutionMode`]).
     pub execution: ExecutionMode,
@@ -68,9 +57,6 @@ impl EngineConfig {
             shard: SimConfig::default(),
             router_seed: 0x5EED_C4A7,
             input_rate_mhz: shards as f64 * 100.0,
-            batch: 8,
-            batch_timeout_sys: 32,
-            staging_cap: 64,
             execution: ExecutionMode::Inline,
         }
     }
@@ -100,19 +86,12 @@ impl EngineConfig {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if the per-shard configuration is invalid,
-    /// any count is zero, the staging capacity cannot hold a batch, or
-    /// the aggregate rate exceeds one descriptor per shard per system
-    /// cycle.
+    /// the shard count is zero, or the aggregate rate exceeds one
+    /// descriptor per shard per system cycle.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.shard.validate()?;
         if self.shards == 0 {
             return Err(ConfigError::new("shards must be non-zero"));
-        }
-        if self.batch == 0 {
-            return Err(ConfigError::new("batch must be non-zero"));
-        }
-        if self.staging_cap < self.batch {
-            return Err(ConfigError::new("staging_cap must hold at least one batch"));
         }
         let max_rate = self.shards as f64 * self.sys_clock_mhz();
         if self.input_rate_mhz <= 0.0 || self.input_rate_mhz > max_rate {
@@ -151,16 +130,6 @@ mod tests {
     fn zero_counts_rejected() {
         let mut c = EngineConfig::test_small();
         c.shards = 0;
-        assert!(c.validate().is_err());
-        let mut c = EngineConfig::test_small();
-        c.batch = 0;
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn staging_must_hold_a_batch() {
-        let mut c = EngineConfig::test_small();
-        c.staging_cap = c.batch - 1;
         assert!(c.validate().is_err());
     }
 

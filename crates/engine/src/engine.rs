@@ -53,6 +53,19 @@ impl EngineSnapshot {
     }
 }
 
+/// Per-shard ingest batch: the splitter hands descriptors to a channel
+/// in groups of this size, preserving the paper's burst-grouping within
+/// each channel.
+const BATCH: usize = 8;
+/// A partially filled batch is flushed after this many system cycles
+/// (bounds latency on shard-quiet traffic, like BWr_Gen's timeout).
+const BATCH_TIMEOUT_SYS: u64 = 32;
+/// Per-shard staging capacity at the splitter. When one shard's staging
+/// fills (its channel is saturated), the splitter stalls the whole input
+/// — head-of-line, as a hardware distributor would.
+const STAGING_CAP: usize = 64;
+const _: () = assert!(STAGING_CAP >= BATCH, "staging must hold at least one batch");
+
 /// One channel of the engine: the shard's simulator plus the splitter's
 /// per-shard staging queue. Lanes share no state with each other, which
 /// is what makes threaded execution bit-identical to inline execution.
@@ -66,16 +79,16 @@ struct ShardLane {
 impl ShardLane {
     /// Advances this lane one engine cycle: flushes the staged batch
     /// into the channel's sequencer when due, then steps the channel.
-    /// A batch is *due* when it reaches the configured size, when its
-    /// oldest descriptor times out, or when end of input has been
-    /// declared. This is the one per-cycle body both execution modes
-    /// run, so the threaded engine is bit-identical by construction.
-    fn step(&mut self, now_sys: u64, draining: bool, batch: usize, batch_timeout_sys: u64) {
-        let due = self.staging.len() >= batch
+    /// A batch is *due* when it reaches `BATCH`, when its oldest
+    /// descriptor times out, or when end of input has been declared.
+    /// This is the one per-cycle body both execution modes run, so the
+    /// threaded engine is bit-identical by construction.
+    fn step(&mut self, now_sys: u64, draining: bool) {
+        let due = self.staging.len() >= BATCH
             || (draining && !self.staging.is_empty())
             || self
                 .staged_first_cycle
-                .is_some_and(|t| now_sys - t >= batch_timeout_sys);
+                .is_some_and(|t| now_sys - t >= BATCH_TIMEOUT_SYS);
         if due {
             while let Some(&d) = self.staging.front() {
                 if self.sim.offer(d) {
@@ -219,10 +232,9 @@ impl ShardedFlowLut {
                         .step_by(executors)
                         .map(Arc::clone)
                         .collect();
-                    let (batch, batch_timeout_sys) = (cfg.batch, cfg.batch_timeout_sys);
                     move |now_sys: u64, draining: bool| {
                         for lane in &my_lanes {
-                            lock(lane).step(now_sys, draining, batch, batch_timeout_sys);
+                            lock(lane).step(now_sys, draining);
                         }
                     }
                 })
@@ -355,7 +367,7 @@ impl ShardedFlowLut {
     /// Advances the whole engine one system-clock cycle: per shard,
     /// flushes due staged batches into the channel's sequencer, then
     /// steps the channel (lockstep). A batch is *due* when it reaches the
-    /// configured size, when its oldest descriptor times out, or when end
+    /// batch size, when its oldest descriptor times out, or when end
     /// of input has been declared ([`FlowPipeline::drain`]).
     ///
     /// Inline mode steps every lane on the calling thread; threaded mode
@@ -367,12 +379,7 @@ impl ShardedFlowLut {
         match &self.pool {
             None => {
                 for lane in &self.lanes {
-                    lock(lane).step(
-                        self.now_sys,
-                        self.draining,
-                        self.cfg.batch,
-                        self.cfg.batch_timeout_sys,
-                    );
+                    lock(lane).step(self.now_sys, self.draining);
                 }
             }
             Some(pool) => {
@@ -380,12 +387,7 @@ impl ShardedFlowLut {
                 // The caller is executor 0: step its own lane share
                 // while the workers run theirs.
                 for lane in self.lanes.iter().step_by(self.executors) {
-                    lock(lane).step(
-                        self.now_sys,
-                        self.draining,
-                        self.cfg.batch,
-                        self.cfg.batch_timeout_sys,
-                    );
+                    lock(lane).step(self.now_sys, self.draining);
                 }
                 pool.finish_round();
             }
@@ -715,7 +717,7 @@ impl FlowPipeline for ShardedFlowLut {
     fn push(&mut self, desc: PacketDescriptor) -> bool {
         let s = self.router.route(&desc.key);
         let mut lane = lock(&self.lanes[s]);
-        if lane.staging.len() >= self.cfg.staging_cap {
+        if lane.staging.len() >= STAGING_CAP {
             self.splitter_stall_cycles += 1;
             return false;
         }

@@ -1,5 +1,5 @@
 //! Steady-state allocation ratchet (dynamic counterpart of
-//! `cargo xtask analyze`).
+//! `cargo xtask lint`'s hot-alloc rule).
 //!
 //! Installs a counting global allocator and measures the heap
 //! allocations performed while streaming a fixed descriptor batch
@@ -119,7 +119,7 @@ fn check(name: &str, measured: u64) {
     assert!(
         measured <= pin + slack,
         "{name}: {measured} steady-state allocations, baseline pins {pin} (+{slack} slack) — \
-         a hot-path allocation crept in; run `cargo xtask analyze` and fix or vet it"
+         a hot-path allocation crept in; run `cargo xtask lint` and fix or vet it"
     );
     assert!(
         measured + slack >= pin,

@@ -1,19 +1,21 @@
-//! `cargo xtask analyze`: call-graph-aware hot-path analysis.
+//! The token model and the call-graph pass behind `cargo xtask lint`.
 //!
-//! Built on the token [`lexer`](crate::lexer), this module recovers a
-//! lightweight item model of the workspace — `fn` definitions, `impl`
-//! blocks (inherent and trait), and a conservative name-resolution-free
-//! call graph — and runs two reachability analyses over it:
+//! [`extract`] turns one file into a [`FileModel`]: the comment-free
+//! token stream, the comments, a per-token `#[cfg(test)]`/`#[test]` flag
+//! from brace-tracked scopes, and the `fn` items with their `impl`
+//! context. Every source rule reads this one model, and
+//! [`analyze_sources`] builds it once per file: the per-file rules of
+//! [`crate::lint`] run on it, and so do the two reachability analyses
+//! over a conservative, name-resolution-free call graph:
 //!
 //! 1. **hot-alloc** — allocation sites (`Vec::…`/`vec![…]`/`Box::new`/
 //!    `String::…`/`HashMap::…`/`.to_vec()`/`.clone()`/`.collect()`/
 //!    `format!` plus direct `alloc::` use) transitively reachable from
 //!    the steady-state entry points, minus the vetted cold-path /
 //!    site allow-list in `xtask/analyze_allow.txt`;
-//! 2. **hot-panic** — `.unwrap()`/`.expect(`/`panic!(` sites reachable
-//!    from the same entry points, vetted through the same
-//!    `xtask/lint_allow.txt` entries the line-level `no-panic` rule
-//!    uses (so one vet covers both views).
+//! 2. **hot-panic** — the [`panic_site`]s reachable from the same entry
+//!    points, vetted through the same `xtask/lint_allow.txt` entries the
+//!    per-file `no-panic` rule uses (so one vet covers both views).
 //!
 //! ## Soundness model (read before trusting a clean pass)
 //!
@@ -37,11 +39,15 @@
 //! Widening means spurious edges (a `.tick(…)` on a memory model also
 //! "calls" every other `tick` in the tree); the `cold`/`coldfile`
 //! entries of `analyze_allow.txt` prune the vetted-false ones, and
-//! every entry must stay live or the pass fails (`stale-allow`).
-//! `Vec::new()`-style non-allocating constructors are still reported:
-//! a fresh container on the steady-state path exists to be filled.
+//! every entry of either allow-list must stay live or the pass fails
+//! (`stale-allow`). `Vec::new()`-style non-allocating constructors are
+//! still reported: a fresh container on the steady-state path exists to
+//! be filled.
+
+use std::collections::{HashMap, VecDeque};
 
 use crate::lexer::{lex, Tok, TokKind};
+use crate::lint::{check_no_panic, check_ordering_comments, check_sync_facade};
 
 /// A recovered `fn` definition.
 #[derive(Debug, Clone)]
@@ -112,16 +118,33 @@ const KEYWORDS: [&str; 24] = [
 ];
 
 // ---------------------------------------------------------------------
-// Item extraction
+// The token model
 // ---------------------------------------------------------------------
 
-/// The extracted model of one file: a comment-free token stream plus
-/// the `fn` items whose `body` ranges index into it.
+/// The model of one file every rule reads: a comment-free token stream,
+/// the comments, which tokens are test code, and the `fn` items whose
+/// `body` ranges index into the token stream.
 pub struct FileModel {
+    /// Repo-relative path.
+    pub path: String,
+    /// The source text, for allow-list fragments matched per line.
+    pub src: String,
     /// Comment-free token stream.
     pub toks: Vec<Tok>,
+    /// `test[i]`: token `i` lies in a `#[cfg(test)]`/`#[test]` item
+    /// (its attribute, header or body).
+    pub test: Vec<bool>,
+    /// The comment tokens, in source order.
+    pub comments: Vec<Tok>,
     /// Recovered `fn` items.
     pub items: Vec<FnItem>,
+}
+
+impl FileModel {
+    /// The text of 1-based line `n` (empty past the end).
+    pub fn line(&self, n: usize) -> &str {
+        self.src.lines().nth(n.wrapping_sub(1)).unwrap_or_default()
+    }
 }
 
 enum ScopeKind {
@@ -140,21 +163,26 @@ struct Scope {
     test: bool,
 }
 
-/// Extracts `fn` items (with impl context and `#[cfg(test)]` marking)
-/// from `src`. Brace-tracked, attribute-aware, tolerant of anything it
-/// does not model (those tokens just act as block delimiters).
+/// Builds the [`FileModel`] of `src`: brace-tracked scopes decide which
+/// tokens are test code and recover `fn` items with their impl context.
+/// Attribute-aware and tolerant of anything it does not model (those
+/// tokens just act as block delimiters); because it reads tokens, a
+/// brace inside a string, char literal or comment is never a scope.
 pub fn extract(path: &str, src: &str) -> FileModel {
-    let toks: Vec<Tok> = lex(src)
+    let (comments, toks): (Vec<Tok>, Vec<Tok>) = lex(src)
         .into_iter()
-        .filter(|t| t.kind != TokKind::Comment)
-        .collect();
+        .partition(|t| t.kind == TokKind::Comment);
+    let mut test = vec![false; toks.len()];
     let mut items: Vec<FnItem> = Vec::new();
     let mut scopes: Vec<Scope> = Vec::new();
     let mut pending_test = false;
     let mut i = 0usize;
     while i < toks.len() {
+        // A token is test code inside a test scope, or between a test
+        // attribute and the item it gates (`#[cfg(test)] mod t;`).
+        let in_test = pending_test || scopes.last().is_some_and(|s| s.test);
         let t = &toks[i];
-        if t.is_punct("#") {
+        let next = if t.is_punct("#") {
             // `#[…]` / `#![…]` attribute: bracket-matched skip, noting
             // `#[test]` / `#[cfg(test)]`-style contents.
             let mut j = i + 1;
@@ -180,56 +208,47 @@ pub fn extract(path: &str, src: &str) -> FileModel {
                     .filter(|t| t.kind == TokKind::Ident)
                     .map(|t| t.text.as_str())
                     .collect();
-                let is_test_attr = idents.first() == Some(&"test")
-                    || (idents.first() == Some(&"cfg") && idents.contains(&"test"));
-                pending_test |= is_test_attr;
-                i = j + 1;
-                continue;
+                // Only these two gate test-only code: any other cfg
+                // naming `test` may compile outside tests
+                // (`cfg(not(test))`), so its item stays live.
+                pending_test |= idents == ["test"] || idents == ["cfg", "test"];
+                j + 1
+            } else {
+                i + 1
             }
-            i += 1;
-            continue;
-        }
-        if t.is_punct("{") {
-            let test = pending_test || scopes.iter().any(|s| s.test);
+        } else if t.is_punct("{") {
             scopes.push(Scope {
                 kind: ScopeKind::Block,
-                test,
+                test: in_test,
             });
             pending_test = false;
-            i += 1;
-            continue;
-        }
-        if t.is_punct("}") {
-            if let Some(s) = scopes.pop() {
-                if let ScopeKind::Fn { item } = s.kind {
-                    items[item].body.1 = i;
-                }
+            i + 1
+        } else if t.is_punct("}") {
+            if let Some(Scope {
+                kind: ScopeKind::Fn { item },
+                ..
+            }) = scopes.pop()
+            {
+                items[item].body.1 = i;
             }
-            i += 1;
-            continue;
-        }
-        if t.is_punct(";") {
+            i + 1
+        } else if t.is_punct(";") {
             pending_test = false;
-            i += 1;
-            continue;
-        }
-        if t.is_ident("impl") {
+            i + 1
+        } else if t.is_ident("impl") {
             let (ty, tr, open) = parse_impl_header(&toks, i + 1);
-            let test = pending_test || scopes.iter().any(|s| s.test);
             pending_test = false;
             match open {
                 Some(open) => {
                     scopes.push(Scope {
                         kind: ScopeKind::Impl { ty, tr },
-                        test,
+                        test: in_test,
                     });
-                    i = open + 1;
+                    open + 1
                 }
-                None => i = toks.len(),
+                None => toks.len(),
             }
-            continue;
-        }
-        if t.is_ident("trait") && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
+        } else if t.is_ident("trait") && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
             // `trait Name … {`: default-method bodies inside are real
             // items (dyn-widened method calls must reach them).
             let name = toks[i + 1].text.clone();
@@ -245,7 +264,6 @@ pub fn extract(path: &str, src: &str) -> FileModel {
                 }
                 j += 1;
             }
-            let test = pending_test || scopes.iter().any(|s| s.test);
             pending_test = false;
             if toks.get(j).is_some_and(|t| t.is_punct("{")) {
                 scopes.push(Scope {
@@ -253,20 +271,17 @@ pub fn extract(path: &str, src: &str) -> FileModel {
                         ty: None,
                         tr: Some(name),
                     },
-                    test,
+                    test: in_test,
                 });
             }
-            i = j + 1;
-            continue;
-        }
-        if t.is_ident("fn") && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
+            j + 1
+        } else if t.is_ident("fn") && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
             let name = toks[i + 1].text.clone();
             let line = t.line;
             let mut j = i + 2;
             while j < toks.len() && !toks[j].is_punct("{") && !toks[j].is_punct(";") {
                 j += 1;
             }
-            let is_test = pending_test || scopes.iter().any(|s| s.test);
             pending_test = false;
             if toks.get(j).is_some_and(|t| t.is_punct("{")) {
                 let (impl_type, trait_name) = scopes
@@ -285,19 +300,29 @@ pub fn extract(path: &str, src: &str) -> FileModel {
                     trait_name,
                     line,
                     body: (j + 1, j + 1),
-                    is_test,
+                    is_test: in_test,
                 });
                 scopes.push(Scope {
                     kind: ScopeKind::Fn { item },
-                    test: is_test,
+                    test: in_test,
                 });
             }
-            i = j + 1;
-            continue;
-        }
-        i += 1;
+            j + 1
+        } else {
+            i + 1
+        };
+        let next = next.min(toks.len());
+        test[i..next].fill(in_test);
+        i = next;
     }
-    FileModel { toks, items }
+    FileModel {
+        path: path.to_string(),
+        src: src.to_string(),
+        toks,
+        test,
+        comments,
+        items,
+    }
 }
 
 /// Parses an `impl` header starting at token `from`, returning the
@@ -358,6 +383,38 @@ pub struct BodyScan {
     pub sites: Vec<Site>,
 }
 
+/// Every panic site the pass recognises, as it reads in source. The
+/// per-file `no-panic` rule checks the first three; the reachability
+/// analysis checks all of them.
+pub const PANIC_SITES: [&str; 6] = [
+    ".unwrap(",
+    ".expect(",
+    "panic!(",
+    "unreachable!(",
+    "todo!(",
+    "unimplemented!(",
+];
+
+/// The one panic-site recogniser: whether token `k` starts a
+/// `.unwrap(`/`.expect(` method call or a `panic!`-family macro
+/// invocation, and which entry of [`PANIC_SITES`] it is.
+pub fn panic_site(toks: &[Tok], k: usize) -> Option<&'static str> {
+    let is = |n: usize, p: &str| toks.get(n).is_some_and(|t| t.is_punct(p));
+    if toks[k].kind != TokKind::Ident {
+        return None;
+    }
+    let name = toks[k].text.as_str();
+    let site = *PANIC_SITES
+        .iter()
+        .find(|s| s.trim_matches(['.', '!', '(']) == name)?;
+    let found = if site.starts_with('.') {
+        k > 0 && is(k - 1, ".") && is(k + 1, "(")
+    } else {
+        is(k + 1, "!") && (is(k + 2, "(") || is(k + 2, "[") || is(k + 2, "{"))
+    };
+    found.then_some(site)
+}
+
 /// Scans the token range `body` of `toks` for call sites and for the
 /// direct allocation / panic patterns listed in the module docs.
 pub fn scan_body(toks: &[Tok], body: (usize, usize)) -> BodyScan {
@@ -367,6 +424,13 @@ pub fn scan_body(toks: &[Tok], body: (usize, usize)) -> BodyScan {
         if t.kind != TokKind::Ident {
             continue;
         }
+        if let Some(site) = panic_site(toks, k) {
+            out.sites.push(Site {
+                line: t.line,
+                kind: "panic",
+                what: format!("`{site}…)`"),
+            });
+        }
         let name = t.text.as_str();
         let next = toks.get(k + 1);
         // Macro invocation: `name!(` / `name![` / `name!{`.
@@ -375,24 +439,16 @@ pub fn scan_body(toks: &[Tok], body: (usize, usize)) -> BodyScan {
                 .get(k + 2)
                 .is_some_and(|n| n.is_punct("(") || n.is_punct("[") || n.is_punct("{"))
         {
-            match name {
-                "vec" => out.sites.push(Site {
-                    line: t.line,
-                    kind: "alloc",
-                    what: "`vec![…]` allocates".to_string(),
-                }),
-                "format" => out.sites.push(Site {
-                    line: t.line,
-                    kind: "alloc",
-                    what: "`format!(…)` allocates".to_string(),
-                }),
-                "panic" | "unreachable" | "todo" | "unimplemented" => out.sites.push(Site {
-                    line: t.line,
-                    kind: "panic",
-                    what: format!("`{name}!(…)`"),
-                }),
-                _ => {}
-            }
+            let what = match name {
+                "vec" => "`vec![…]` allocates",
+                "format" => "`format!(…)` allocates",
+                _ => continue,
+            };
+            out.sites.push(Site {
+                line: t.line,
+                kind: "alloc",
+                what: what.to_string(),
+            });
             continue;
         }
         // Direct `alloc::` use.
@@ -416,13 +472,6 @@ pub fn scan_body(toks: &[Tok], body: (usize, usize)) -> BodyScan {
                     line: t.line,
                     kind: "alloc",
                     what: format!("`.{name}(…)` allocates (type-blind: vet if the receiver is not heap-backed)"),
-                });
-            }
-            if name == "unwrap" || name == "expect" {
-                out.sites.push(Site {
-                    line: t.line,
-                    kind: "panic",
-                    what: format!("`.{name}(…)`"),
                 });
             }
             if prev2.is_some_and(|p| p.is_ident("self")) {
@@ -537,19 +586,18 @@ pub const ENTRY_POINTS: &[Entry] = &[
     Entry::Trait("FlowPipeline", "poll"),
 ];
 
-/// One analysis finding.
-#[derive(Debug, Clone)]
+/// One finding of the pass, from any rule.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Repo-relative path.
     pub file: String,
-    /// 1-based line (0 for file/entry-level findings).
+    /// 1-based line (0 for file-, entry- or allow-list-level findings).
     pub line: usize,
-    /// `hot-alloc` / `hot-panic` / `stale-allow` / `entry-missing` /
-    /// `allow-syntax`.
+    /// The rule's name (the table in the crate docs).
     pub rule: &'static str,
     /// Shortest call chain from an entry point (empty when n/a).
     pub chain: String,
-    /// What is wrong.
+    /// What is wrong and how to fix it.
     pub msg: String,
 }
 
@@ -565,6 +613,31 @@ impl std::fmt::Display for Finding {
         }
         Ok(())
     }
+}
+
+/// A finding without a call chain.
+pub fn finding(file: &str, line: usize, rule: &'static str, msg: String) -> Finding {
+    Finding {
+        file: file.to_string(),
+        line,
+        rule,
+        chain: String::new(),
+        msg,
+    }
+}
+
+/// Whether an allow-list (`path suffix :: line substring` entries)
+/// covers line `text` of `file`. Marks every covering entry in `used`:
+/// an entry is live exactly when it vetted a site in this pass.
+pub fn vet(list: &[(String, String)], used: &mut [bool], file: &str, text: &str) -> bool {
+    let mut hit = false;
+    for (i, (p, frag)) in list.iter().enumerate() {
+        if file.ends_with(p.as_str()) && text.contains(frag.as_str()) {
+            used[i] = true;
+            hit = true;
+        }
+    }
+    hit
 }
 
 /// A vetted site that stayed on the hot path (the work list).
@@ -584,9 +657,9 @@ pub struct VettedSite {
     pub func_line: usize,
 }
 
-/// Everything `cargo xtask analyze` computed.
+/// Everything one pass computed.
 pub struct AnalyzeResult {
-    /// Files analyzed.
+    /// Files read.
     pub files: usize,
     /// `fn` items recovered (non-test).
     pub functions: usize,
@@ -602,9 +675,16 @@ pub struct AnalyzeResult {
     pub cold_hits: Vec<String>,
 }
 
-/// Runs the reachability analyses over in-memory `(path, source)`
-/// pairs. `panic_allow` is the parsed `lint_allow.txt`; `allow` the
-/// parsed `analyze_allow.txt`. Separated from file discovery so the
+/// Crates whose sources count as hot-path for the `no-panic` rule.
+const HOT_PATH_CRATES: [&str; 4] = ["engine", "core", "cam", "hash"];
+
+/// Runs every source rule over in-memory `(path, source)` pairs of
+/// `crates/*/src`, extracting each file's model once: the per-file
+/// rules (`ordering-doc`, `sync-facade` on the engine crate, `no-panic`
+/// on the hot-path crates) and the reachability analyses. `panic_allow`
+/// is the parsed `lint_allow.txt`, `allow` the parsed
+/// `analyze_allow.txt`; an entry of either that vetted nothing is
+/// `stale-allow`. Separated from file discovery so the
 /// seeded-violation tests drive it directly.
 pub fn analyze_sources(
     files: &[(String, String)],
@@ -612,35 +692,46 @@ pub fn analyze_sources(
     allow: &AnalyzeAllow,
     panic_allow: &[(String, String)],
 ) -> AnalyzeResult {
-    // Extract every file's model once; keep raw lines for allow matching.
-    let mut items: Vec<FnItem> = Vec::new();
-    let mut scans: Vec<BodyScan> = Vec::new();
-    let mut lines: std::collections::HashMap<&str, Vec<&str>> = std::collections::HashMap::new();
-    for (path, src) in files {
-        lines.insert(path.as_str(), src.lines().collect());
-        let model = extract(path, src);
-        for it in model.items {
-            if it.is_test {
-                continue;
-            }
-            scans.push(scan_body(&model.toks, it.body));
-            items.push(it);
+    let models: Vec<FileModel> = files.iter().map(|(p, s)| extract(p, s)).collect();
+    let mut findings: Vec<Finding> = Vec::new();
+    for (n, msg) in &allow.errors {
+        findings.push(finding(
+            "xtask/analyze_allow.txt",
+            *n,
+            "allow-syntax",
+            msg.clone(),
+        ));
+    }
+
+    // Per-file rules, scoped by crate.
+    let mut panic_used = vec![false; panic_allow.len()];
+    for m in &models {
+        let krate = m
+            .path
+            .strip_prefix("crates/")
+            .and_then(|p| p.split('/').next());
+        findings.extend(check_ordering_comments(m));
+        if krate == Some("engine") {
+            findings.extend(check_sync_facade(m));
+        }
+        if krate.is_some_and(|k| HOT_PATH_CRATES.contains(&k)) {
+            findings.extend(check_no_panic(m, panic_allow, &mut panic_used));
         }
     }
 
-    let mut findings: Vec<Finding> = Vec::new();
-    for (n, msg) in &allow.errors {
-        findings.push(Finding {
-            file: "xtask/analyze_allow.txt".to_string(),
-            line: *n,
-            rule: "allow-syntax",
-            chain: String::new(),
-            msg: msg.clone(),
-        });
+    // Non-test items, each with its body scan and owning model.
+    let mut items: Vec<FnItem> = Vec::new();
+    let mut scans: Vec<BodyScan> = Vec::new();
+    let mut owner: Vec<&FileModel> = Vec::new();
+    for m in &models {
+        for it in m.items.iter().filter(|it| !it.is_test) {
+            scans.push(scan_body(&m.toks, it.body));
+            items.push(it.clone());
+            owner.push(m);
+        }
     }
 
     // Name-resolution maps.
-    use std::collections::HashMap;
     let mut free_by_name: HashMap<&str, Vec<usize>> = HashMap::new();
     let mut by_type: HashMap<(&str, &str), Vec<usize>> = HashMap::new();
     let mut methods_by_name: HashMap<&str, Vec<usize>> = HashMap::new();
@@ -719,16 +810,15 @@ pub fn analyze_sources(
                 .collect(),
         };
         if ids.is_empty() {
-            findings.push(Finding {
-                file: String::new(),
-                line: 0,
-                rule: "entry-missing",
-                chain: String::new(),
-                msg: format!(
+            findings.push(finding(
+                "",
+                0,
+                "entry-missing",
+                format!(
                     "entry point `{}` resolves to no function — update ENTRY_POINTS after the rename",
                     e.display()
                 ),
-            });
+            ));
         }
         roots.extend(ids);
     }
@@ -770,7 +860,7 @@ pub fn analyze_sources(
     // BFS with parent tracking for shortest chains.
     let mut parent: Vec<Option<usize>> = vec![None; items.len()];
     let mut seen = vec![false; items.len()];
-    let mut queue = std::collections::VecDeque::new();
+    let mut queue = VecDeque::new();
     for &r in &roots {
         if is_cold(&items[r], &mut cold_used, &mut coldfile_used) {
             continue;
@@ -806,26 +896,16 @@ pub fn analyze_sources(
     // Findings: sites inside reachable functions, minus vetted entries.
     let mut vetted: Vec<VettedSite> = Vec::new();
     let mut site_used = vec![false; allow.sites.len()];
-    let mut panic_used = vec![false; panic_allow.len()];
     for (id, it) in items.iter().enumerate() {
         if !seen[id] {
             continue;
         }
-        let file_lines = &lines[it.file.as_str()];
         for site in &scans[id].sites {
-            let text = file_lines.get(site.line - 1).copied().unwrap_or_default();
-            let (rule, list, used): (&'static str, &[(String, String)], &mut Vec<bool>) =
-                match site.kind {
-                    "alloc" => ("hot-alloc", &allow.sites, &mut site_used),
-                    _ => ("hot-panic", panic_allow, &mut panic_used),
-                };
-            let mut allowed = false;
-            for (i, (p, frag)) in list.iter().enumerate() {
-                if it.file.ends_with(p.as_str()) && text.contains(frag.as_str()) {
-                    used[i] = true;
-                    allowed = true;
-                }
-            }
+            let text = owner[id].line(site.line);
+            let allowed = match site.kind {
+                "alloc" => vet(&allow.sites, &mut site_used, &it.file, text),
+                _ => vet(panic_allow, &mut panic_used, &it.file, text),
+            };
             if allowed {
                 vetted.push(VettedSite {
                     file: it.file.clone(),
@@ -839,7 +919,11 @@ pub fn analyze_sources(
                 findings.push(Finding {
                     file: it.file.clone(),
                     line: site.line,
-                    rule,
+                    rule: if site.kind == "alloc" {
+                        "hot-alloc"
+                    } else {
+                        "hot-panic"
+                    },
                     chain: chain_of(id),
                     msg: format!(
                         "{} in `{}`, reachable from a steady-state entry point — {}",
@@ -857,47 +941,43 @@ pub fn analyze_sources(
     }
 
     // Stale allow entries are hard errors (the ratchet must not rot).
+    let mut stale = |file: &str, msg: String| findings.push(finding(file, 0, "stale-allow", msg));
     for (i, c) in allow.cold.iter().enumerate() {
         if !cold_used[i] {
-            findings.push(Finding {
-                file: "xtask/analyze_allow.txt".to_string(),
-                line: 0,
-                rule: "stale-allow",
-                chain: String::new(),
-                msg: if cold_defined[i] {
+            stale(
+                "xtask/analyze_allow.txt",
+                if cold_defined[i] {
                     format!("`cold {c}` was never reached from an entry point — prune it")
                 } else {
                     format!("`cold {c}` names no function in the workspace — prune it")
                 },
-            });
+            );
         }
     }
     for (i, p) in allow.coldfiles.iter().enumerate() {
         if !coldfile_used[i] {
-            findings.push(Finding {
-                file: "xtask/analyze_allow.txt".to_string(),
-                line: 0,
-                rule: "stale-allow",
-                chain: String::new(),
-                msg: format!("`coldfile {p}` was never reached from an entry point — prune it"),
-            });
+            stale(
+                "xtask/analyze_allow.txt",
+                format!("`coldfile {p}` was never reached from an entry point — prune it"),
+            );
         }
     }
     for (i, (p, frag)) in allow.sites.iter().enumerate() {
         if !site_used[i] {
-            findings.push(Finding {
-                file: "xtask/analyze_allow.txt".to_string(),
-                line: 0,
-                rule: "stale-allow",
-                chain: String::new(),
-                msg: format!(
-                    "`site {p} :: {frag}` matches no reachable allocation site — prune it"
-                ),
-            });
+            stale(
+                "xtask/analyze_allow.txt",
+                format!("`site {p} :: {frag}` matches no reachable allocation site — prune it"),
+            );
         }
     }
-    // Note: lint_allow.txt staleness is owned by `cargo xtask lint`
-    // (whose no-panic rule scopes entries); not re-reported here.
+    for (i, (p, frag)) in panic_allow.iter().enumerate() {
+        if !panic_used[i] {
+            stale(
+                "xtask/lint_allow.txt",
+                format!("`{p} :: {frag}` vetted no panic site in this pass — prune it"),
+            );
+        }
+    }
 
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     vetted.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
@@ -1027,7 +1107,7 @@ mod tests {
 
     #[test]
     fn cfg_test_items_are_excluded() {
-        let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn t() { live(); }\n    #[test]\n    fn u() {}\n}\n#[test]\nfn also_test() {}\nfn live2() {}\n";
+        let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn t() { live(); }\n    #[test]\n    fn u() {}\n}\n#[test]\nfn also_test() {}\nfn live2() {}\n#[cfg(not(test))]\nfn live3() {}\n";
         let m = extract("a.rs", src);
         let live: Vec<&str> = m
             .items
@@ -1035,7 +1115,7 @@ mod tests {
             .filter(|i| !i.is_test)
             .map(|i| i.name.as_str())
             .collect();
-        assert_eq!(live, vec!["live", "live2"]);
+        assert_eq!(live, vec!["live", "live2", "live3"]);
     }
 
     #[test]

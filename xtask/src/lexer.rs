@@ -1,8 +1,8 @@
-//! A small hand-rolled Rust token lexer for the analysis passes.
+//! A small hand-rolled Rust token lexer for the static-analysis pass.
 //!
-//! `cargo xtask analyze` (and the token-accurate lint rules) must not
-//! confuse source code with the *text* of string literals, comments,
-//! raw strings, or char literals — the line-grep rules of PR 6 could.
+//! `cargo xtask lint` must not confuse source code with the *text* of
+//! string literals, comments, raw strings, or char literals — a
+//! line-grep rule would.
 //! This lexer produces a flat token stream with 1-based line numbers,
 //! handling exactly the lexical subtleties that matter for that goal:
 //!

@@ -1,104 +1,21 @@
-//! The repo-specific lint rules behind `cargo xtask lint`.
+//! The per-file rules of `cargo xtask lint`.
 //!
-//! Each rule is a pure function over `(path, source)` returning the
-//! violations it found, so every rule is unit-tested both ways: clean
-//! input passes, seeded violations are reported (the acceptance
-//! criterion that the linter demonstrably *fails* when it should).
-//!
-//! | rule            | scope                               | requirement |
-//! |-----------------|-------------------------------------|-------------|
-//! | `crate-attrs`   | first-party crate roots             | `#![forbid(unsafe_code)]` + `#![deny(missing_docs)]` |
-//! | `sync-facade`   | `crates/engine/src` (non-test)      | no direct `std::sync`/`std::thread`/`std::hint` — use `flowlut_core::sync` |
-//! | `ordering-doc`  | `crates/*/src` (non-test)           | every `Ordering::` site has an adjacent `// ordering:` justification |
-//! | `no-panic`      | engine/core/cam/hash src (non-test) | no `.unwrap()`/`.expect(`/`panic!(` outside `xtask/lint_allow.txt` |
-//! | `stale-allow`   | `xtask/lint_allow.txt`              | every entry still matches ≥1 live panic site |
-//! | `bench-schema`  | committed `BENCH_*.json`            | parses as JSON and keeps its schema keys |
-//!
-//! The source rules (`sync-facade`, `ordering-doc`, `no-panic`) are
-//! **token-accurate**: they lex the file with [`crate::lexer`] instead
-//! of substring-matching lines, so patterns inside string literals,
-//! raw strings, and comments can no longer produce false positives.
-//! `#[cfg(test)]` scoping still uses the line-level tracker
-//! ([`non_test_lines`]) to decide which token lines are live.
+//! Each rule is a pure function over one file returning the findings it
+//! made, so every rule is unit-tested both ways: clean input passes,
+//! seeded violations are reported (the linter demonstrably *fails*
+//! when it should). The source rules read the file's [`FileModel`], so
+//! a pattern inside a string, raw string, char literal or comment is
+//! never code, and test code is whatever the model's scope tracking
+//! says it is.
 //!
 //! The vendored shims under `vendor/` (ports of external crates) are
 //! exempt from `crate-attrs` — except `vendor/loomlite`, which is
 //! first-party.
 
 use std::collections::HashSet;
-use std::fmt;
 
-use crate::lexer::{lex, Tok, TokKind};
-
-/// One rule violation at a source location.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// Repo-relative path of the offending file.
-    pub file: String,
-    /// 1-based line (0 for file-level violations).
-    pub line: usize,
-    /// Rule identifier (the table in the module docs).
-    pub rule: &'static str,
-    /// What is wrong and how to fix it.
-    pub msg: String,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {}",
-            self.file, self.line, self.rule, self.msg
-        )
-    }
-}
-
-fn violation(file: &str, line: usize, rule: &'static str, msg: String) -> Violation {
-    Violation {
-        file: file.to_string(),
-        line,
-        rule,
-        msg,
-    }
-}
-
-/// Yields `(1-based line number, line)` for the lines of `src` outside
-/// `#[cfg(test)]` items. An inline `#[cfg(test)] mod … { … }` is skipped
-/// by brace tracking; a path module declaration (`#[cfg(test)] mod t;`)
-/// only skips the declaration itself (the module *file* must be excluded
-/// by the caller's file scoping — see [`is_test_file`]).
-pub fn non_test_lines(src: &str) -> Vec<(usize, &str)> {
-    let mut out = Vec::new();
-    let mut skipping = false;
-    let mut opened = false;
-    let mut depth = 0i64;
-    for (i, line) in src.lines().enumerate() {
-        if !skipping && line.trim_start().starts_with("#[cfg(test)]") {
-            skipping = true;
-            opened = false;
-            depth = 0;
-            continue;
-        }
-        if skipping {
-            let opens = line.matches('{').count() as i64;
-            let closes = line.matches('}').count() as i64;
-            depth += opens - closes;
-            if opens > 0 {
-                opened = true;
-            }
-            if opened && depth <= 0 {
-                skipping = false;
-            } else if !opened && line.trim_end().ends_with(';') {
-                // `#[cfg(test)] mod tests;` — only the declaration is
-                // gated; resume on the next line.
-                skipping = false;
-            }
-            continue;
-        }
-        out.push((i + 1, line));
-    }
-    out
-}
+use crate::analyze::{finding, panic_site, vet, FileModel, Finding, PANIC_SITES};
+use crate::lexer::TokKind;
 
 /// Whether `path` (repo-relative, `/`-separated) is test code by
 /// location: an integration-test tree or a path-based unit-test module
@@ -109,11 +26,11 @@ pub fn is_test_file(path: &str) -> bool {
 
 /// `crate-attrs`: a first-party crate root must forbid unsafe code and
 /// deny missing docs.
-pub fn check_crate_attrs(path: &str, src: &str) -> Vec<Violation> {
+pub fn check_crate_attrs(path: &str, src: &str) -> Vec<Finding> {
     let mut out = Vec::new();
     for attr in ["#![forbid(unsafe_code)]", "#![deny(missing_docs)]"] {
         if !src.lines().any(|l| l.trim() == attr) {
-            out.push(violation(
+            out.push(finding(
                 path,
                 0,
                 "crate-attrs",
@@ -124,32 +41,21 @@ pub fn check_crate_attrs(path: &str, src: &str) -> Vec<Violation> {
     out
 }
 
-/// The 1-based line numbers outside `#[cfg(test)]` items.
-fn live_lines(src: &str) -> HashSet<usize> {
-    non_test_lines(src).iter().map(|(n, _)| *n).collect()
-}
-
 /// `sync-facade`: engine sources must reach every synchronization
 /// primitive through `flowlut_core::sync`, never `std` directly —
 /// otherwise the model suite silently stops covering that primitive.
-/// Token-accurate: `std::sync` inside a string or comment is content,
-/// not a violation.
-pub fn check_sync_facade(path: &str, src: &str) -> Vec<Violation> {
-    let live = live_lines(src);
-    let toks: Vec<Tok> = lex(src)
-        .into_iter()
-        .filter(|t| t.kind != TokKind::Comment)
-        .collect();
+pub fn check_sync_facade(m: &FileModel) -> Vec<Finding> {
+    let toks = &m.toks;
     let mut out = Vec::new();
-    for w in toks.windows(3) {
+    for (i, w) in toks.windows(3).enumerate() {
         if w[0].is_ident("std")
             && w[1].is_punct("::")
             && w[2].kind == TokKind::Ident
             && ["sync", "thread", "hint"].contains(&w[2].text.as_str())
-            && live.contains(&w[0].line)
+            && !m.test[i]
         {
-            out.push(violation(
-                path,
+            out.push(finding(
+                &m.path,
                 w[0].line,
                 "sync-facade",
                 format!(
@@ -165,18 +71,17 @@ pub fn check_sync_facade(path: &str, src: &str) -> Vec<Violation> {
 /// `ordering-doc`: every atomic-ordering choice must carry a nearby
 /// `// ordering:` justification (same line or the 4 lines above), so a
 /// reviewer — and the next refactor — can tell load-bearing SeqCst from
-/// incidental. Token-accurate: `Ordering::` in strings is invisible,
-/// `use` statements and `cmp::Ordering` are recognized structurally.
-pub fn check_ordering_comments(path: &str, src: &str) -> Vec<Violation> {
+/// incidental. `use` statements and `cmp::Ordering` are recognized
+/// structurally.
+pub fn check_ordering_comments(m: &FileModel) -> Vec<Finding> {
     const WINDOW: usize = 4;
-    let live = live_lines(src);
-    let all = lex(src);
-    let justified: HashSet<usize> = all
+    let justified: HashSet<usize> = m
+        .comments
         .iter()
-        .filter(|t| t.kind == TokKind::Comment && t.text.contains("ordering:"))
+        .filter(|t| t.text.contains("ordering:"))
         .map(|t| t.line)
         .collect();
-    let toks: Vec<&Tok> = all.iter().filter(|t| t.kind != TokKind::Comment).collect();
+    let toks = &m.toks;
     let mut out = Vec::new();
     let mut stmt_start = true;
     let mut in_use = false;
@@ -191,7 +96,7 @@ pub fn check_ordering_comments(path: &str, src: &str) -> Vec<Violation> {
         let is_site = t.is_ident("Ordering")
             && toks.get(i + 1).is_some_and(|n| n.is_punct("::"))
             && toks.get(i + 2).is_some_and(|n| n.kind == TokKind::Ident);
-        if !is_site || in_use || !live.contains(&t.line) {
+        if !is_site || in_use || m.test[i] {
             continue;
         }
         // `cmp::Ordering` (and `std::cmp::Ordering`) is not an atomic site.
@@ -200,8 +105,8 @@ pub fn check_ordering_comments(path: &str, src: &str) -> Vec<Violation> {
         }
         let documented = (t.line.saturating_sub(WINDOW)..=t.line).any(|l| justified.contains(&l));
         if !documented {
-            out.push(violation(
-                path,
+            out.push(finding(
+                &m.path,
                 t.line,
                 "ordering-doc",
                 "atomic `Ordering::` site without an adjacent `// ordering:` justification"
@@ -212,96 +117,34 @@ pub fn check_ordering_comments(path: &str, src: &str) -> Vec<Violation> {
     out
 }
 
-/// `no-panic`: hot-path modules must not unwrap/expect/panic except at
-/// sites vetted in the allowlist (`xtask/lint_allow.txt`, entries of the
-/// form `path :: line-substring`). Token-accurate: `.unwrap()` in a
-/// string literal is content. Allow-list fragments still match against
-/// the raw source line, so existing entries keep working.
-pub fn check_no_panic(path: &str, src: &str, allowlist: &[(String, String)]) -> Vec<Violation> {
-    let live = live_lines(src);
-    let raw: Vec<&str> = src.lines().collect();
-    let toks: Vec<Tok> = lex(src)
-        .into_iter()
-        .filter(|t| t.kind != TokKind::Comment)
-        .collect();
+/// `no-panic`: hot-path modules must not `.unwrap()`/`.expect(`/`panic!(`
+/// except at sites vetted in the allowlist (`xtask/lint_allow.txt`,
+/// entries of the form `path :: line-substring`, matched against the
+/// raw source line). Marks the entries that vetted a site in `used`.
+pub fn check_no_panic(
+    m: &FileModel,
+    allowlist: &[(String, String)],
+    used: &mut [bool],
+) -> Vec<Finding> {
     let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        let token = if (t.is_ident("unwrap") || t.is_ident("expect"))
-            && i > 0
-            && toks[i - 1].is_punct(".")
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-        {
-            if t.is_ident("unwrap") {
-                ".unwrap()"
-            } else {
-                ".expect("
-            }
-        } else if t.is_ident("panic")
-            && toks.get(i + 1).is_some_and(|n| n.is_punct("!"))
-            && toks.get(i + 2).is_some_and(|n| n.is_punct("("))
-        {
-            "panic!("
-        } else {
+    for (i, t) in m.toks.iter().enumerate() {
+        let Some(site) = panic_site(&m.toks, i) else {
             continue;
         };
-        if !live.contains(&t.line) {
+        if m.test[i]
+            || !PANIC_SITES[..3].contains(&site)
+            || vet(allowlist, used, &m.path, m.line(t.line))
+        {
             continue;
         }
-        let line = raw.get(t.line - 1).copied().unwrap_or_default();
-        let allowed = allowlist
-            .iter()
-            .any(|(p, frag)| path.ends_with(p.as_str()) && line.contains(frag.as_str()));
-        if !allowed {
-            out.push(violation(
-                path,
-                t.line,
-                "no-panic",
-                format!(
-                    "`{token}` in a hot-path module — return an error, or vet the invariant in xtask/lint_allow.txt"
-                ),
-            ));
-        }
-    }
-    out
-}
-
-/// `stale-allow`: every `lint_allow.txt` entry must still match at
-/// least one live (non-test) panic site in the scanned sources, so the
-/// vetted-exception list cannot silently rot as code moves.
-pub fn check_allow_liveness(
-    allowlist: &[(String, String)],
-    scanned: &[(String, String)],
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (p, frag) in allowlist {
-        let alive = scanned.iter().any(|(path, src)| {
-            path.ends_with(p.as_str())
-                && non_test_lines(src).iter().any(|(_, line)| {
-                    line.contains(frag.as_str())
-                        // The full panic-site vocabulary: the no-panic
-                        // lint flags the first three; `cargo xtask
-                        // analyze` vets the assertion macros through
-                        // this same list, so they keep entries alive.
-                        && [
-                            ".unwrap()",
-                            ".expect(",
-                            "panic!(",
-                            "unreachable!(",
-                            "todo!(",
-                            "unimplemented!(",
-                        ]
-                        .iter()
-                        .any(|t| line.contains(t))
-                })
-        });
-        if !alive {
-            out.push(violation(
-                "xtask/lint_allow.txt",
-                0,
-                "stale-allow",
-                format!("`{p} :: {frag}` no longer matches any live panic site — prune it"),
-            ));
-        }
+        out.push(finding(
+            &m.path,
+            t.line,
+            "no-panic",
+            format!(
+                "`{site}…)` in a hot-path module — return an error, or vet the invariant in xtask/lint_allow.txt"
+            ),
+        ));
     }
     out
 }
@@ -591,16 +434,16 @@ fn required_row_keys(bench: &str) -> &'static [&'static str] {
 /// `bench-schema`: `path` must parse as JSON and keep the schema keys
 /// for its `bench` kind; every `results` row must identify its shard
 /// count and completion total.
-pub fn check_bench_schema(path: &str, text: &str) -> Vec<Violation> {
+pub fn check_bench_schema(path: &str, text: &str) -> Vec<Finding> {
     let doc = match parse_json(text) {
         Ok(doc) => doc,
-        Err(e) => return vec![violation(path, 0, "bench-schema", format!("not JSON: {e}"))],
+        Err(e) => return vec![finding(path, 0, "bench-schema", format!("not JSON: {e}"))],
     };
     let mut out = Vec::new();
     let bench = match doc.get("bench") {
         Some(Json::Str(b)) => b.clone(),
         _ => {
-            out.push(violation(
+            out.push(finding(
                 path,
                 0,
                 "bench-schema",
@@ -611,7 +454,7 @@ pub fn check_bench_schema(path: &str, text: &str) -> Vec<Violation> {
     };
     for key in required_keys(&bench) {
         if doc.get(key).is_none() {
-            out.push(violation(
+            out.push(finding(
                 path,
                 0,
                 "bench-schema",
@@ -624,7 +467,7 @@ pub fn check_bench_schema(path: &str, text: &str) -> Vec<Violation> {
             for (i, row) in rows.iter().enumerate() {
                 for key in required_row_keys(&bench) {
                     if row.get(key).is_none() {
-                        out.push(violation(
+                        out.push(finding(
                             path,
                             0,
                             "bench-schema",
@@ -634,7 +477,7 @@ pub fn check_bench_schema(path: &str, text: &str) -> Vec<Violation> {
                 }
             }
         }
-        Some(_) | None => out.push(violation(
+        Some(_) | None => out.push(finding(
             path,
             0,
             "bench-schema",
@@ -647,6 +490,30 @@ pub fn check_bench_schema(path: &str, text: &str) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::{analyze_sources, extract, AnalyzeAllow, Entry};
+
+    fn facade(path: &str, src: &str) -> Vec<Finding> {
+        check_sync_facade(&extract(path, src))
+    }
+
+    fn ordering(path: &str, src: &str) -> Vec<Finding> {
+        check_ordering_comments(&extract(path, src))
+    }
+
+    fn no_panic(path: &str, src: &str, allow: &[(String, String)]) -> Vec<Finding> {
+        check_no_panic(&extract(path, src), allow, &mut vec![false; allow.len()])
+    }
+
+    /// The whole source pass over one file, with no entry points.
+    fn pass(path: &str, src: &str, allow: &[(String, String)]) -> Vec<Finding> {
+        let files = [(path.to_string(), src.to_string())];
+        analyze_sources(&files, &[], &AnalyzeAllow::default(), allow).findings
+    }
+
+    /// A test module whose string and char literals hold an unmatched
+    /// `{`: a line-based brace count never sees it close.
+    const BRACE_LITERAL_TEST_MOD: &str =
+        "#[cfg(test)]\nmod tests {\n    const OPEN: &str = \"{\";\n    const C: char = '{';\n}\n";
 
     // -- the linter must pass on clean input --
 
@@ -659,13 +526,13 @@ mod tests {
     #[test]
     fn facade_imports_pass() {
         let src = "use flowlut_core::sync::{Arc, Mutex};\nfn f() {}\n";
-        assert_eq!(check_sync_facade("crates/engine/src/a.rs", src), vec![]);
+        assert_eq!(facade("crates/engine/src/a.rs", src), vec![]);
     }
 
     #[test]
     fn documented_ordering_passes() {
         let src = "fn f(a: &A) {\n    // ordering: Dekker store half.\n    a.x.store(1, Ordering::SeqCst);\n    a.y.load(Ordering::Relaxed); // ordering: gated by x.\n}\n";
-        assert_eq!(check_ordering_comments("crates/e/src/p.rs", src), vec![]);
+        assert_eq!(ordering("crates/e/src/p.rs", src), vec![]);
     }
 
     #[test]
@@ -673,7 +540,7 @@ mod tests {
         let allow =
             parse_allowlist("# vetted\ncrates/core/src/a.rs :: .expect(\"checked above\")\n");
         let src = "fn f() {\n    x.expect(\"checked above\");\n}\n";
-        assert_eq!(check_no_panic("crates/core/src/a.rs", src, &allow), vec![]);
+        assert_eq!(no_panic("crates/core/src/a.rs", src, &allow), vec![]);
     }
 
     #[test]
@@ -705,7 +572,7 @@ mod tests {
     #[test]
     fn direct_std_sync_flagged() {
         let src = "use std::sync::Mutex;\nfn f() { std::thread::spawn(|| {}); }\n";
-        let v = check_sync_facade("crates/engine/src/a.rs", src);
+        let v = facade("crates/engine/src/a.rs", src);
         assert_eq!(v.len(), 2);
         assert_eq!(v[0].line, 1);
         assert!(v[1].msg.contains("std::thread"));
@@ -715,13 +582,13 @@ mod tests {
     fn std_sync_in_test_module_is_exempt() {
         let src =
             "fn f() {}\n#[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n    fn t() {}\n}\n";
-        assert_eq!(check_sync_facade("crates/engine/src/a.rs", src), vec![]);
+        assert_eq!(facade("crates/engine/src/a.rs", src), vec![]);
     }
 
     #[test]
     fn undocumented_ordering_flagged() {
         let src = "fn f(a: &A) {\n    a.x.store(1, Ordering::SeqCst);\n}\n";
-        let v = check_ordering_comments("crates/e/src/p.rs", src);
+        let v = ordering("crates/e/src/p.rs", src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 2);
     }
@@ -729,19 +596,19 @@ mod tests {
     #[test]
     fn ordering_comment_outside_window_flagged() {
         let src = "// ordering: too far away.\n\n\n\n\n\nfn f(a: &A) {\n    a.x.store(1, Ordering::SeqCst);\n}\n";
-        assert_eq!(check_ordering_comments("crates/e/src/p.rs", src).len(), 1);
+        assert_eq!(ordering("crates/e/src/p.rs", src).len(), 1);
     }
 
     #[test]
     fn cmp_ordering_and_imports_are_exempt() {
         let src = "use std::sync::atomic::Ordering;\nfn f(a: u32, b: u32) -> std::cmp::Ordering {\n    a.cmp(&b)\n}\n";
-        assert_eq!(check_ordering_comments("crates/e/src/p.rs", src), vec![]);
+        assert_eq!(ordering("crates/e/src/p.rs", src), vec![]);
     }
 
     #[test]
     fn unvetted_unwrap_flagged() {
         let src = "fn f() {\n    x.unwrap();\n    y.expect(\"oops\");\n    panic!(\"boom\");\n}\n";
-        let v = check_no_panic("crates/core/src/a.rs", src, &[]);
+        let v = no_panic("crates/core/src/a.rs", src, &[]);
         assert_eq!(v.len(), 3);
         assert_eq!(v[0].rule, "no-panic");
     }
@@ -749,15 +616,15 @@ mod tests {
     #[test]
     fn unwrap_in_test_block_is_exempt() {
         let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
-        assert_eq!(check_no_panic("crates/core/src/a.rs", src, &[]), vec![]);
+        assert_eq!(no_panic("crates/core/src/a.rs", src, &[]), vec![]);
     }
 
     #[test]
     fn allowlist_is_path_scoped() {
         let allow = parse_allowlist("crates/core/src/a.rs :: .unwrap()");
         let src = "fn f() { x.unwrap(); }\n";
-        assert_eq!(check_no_panic("crates/core/src/a.rs", src, &allow), vec![]);
-        assert_eq!(check_no_panic("crates/core/src/b.rs", src, &allow).len(), 1);
+        assert_eq!(no_panic("crates/core/src/a.rs", src, &allow), vec![]);
+        assert_eq!(no_panic("crates/core/src/b.rs", src, &allow).len(), 1);
     }
 
     #[test]
@@ -870,13 +737,13 @@ mod tests {
     fn facade_token_in_string_or_comment_passes() {
         let src =
             "// std::sync is mentioned here\nfn f() { let s = \"std::thread::spawn\"; g(s); }\n";
-        assert_eq!(check_sync_facade("crates/engine/src/a.rs", src), vec![]);
+        assert_eq!(facade("crates/engine/src/a.rs", src), vec![]);
     }
 
     #[test]
     fn panic_token_in_string_passes_but_code_flagged() {
         let src = "fn f() {\n    log(\"never .unwrap() here\");\n    x.unwrap();\n}\n";
-        let v = check_no_panic("crates/core/src/a.rs", src, &[]);
+        let v = no_panic("crates/core/src/a.rs", src, &[]);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 3);
     }
@@ -884,7 +751,7 @@ mod tests {
     #[test]
     fn ordering_token_in_raw_string_passes() {
         let src = "fn f() -> &'static str { r#\"store(1, Ordering::SeqCst)\"# }\n";
-        assert_eq!(check_ordering_comments("crates/e/src/p.rs", src), vec![]);
+        assert_eq!(ordering("crates/e/src/p.rs", src), vec![]);
     }
 
     #[test]
@@ -892,33 +759,27 @@ mod tests {
         // The old line-grep rule needed `use ` on the same line; the
         // token rule tracks the statement.
         let src = "use std::sync::atomic::{\n    AtomicU64,\n    Ordering::{self, SeqCst},\n};\nfn f() {}\n";
-        assert_eq!(check_ordering_comments("crates/e/src/p.rs", src), vec![]);
+        assert_eq!(ordering("crates/e/src/p.rs", src), vec![]);
     }
 
     // -- stale allow entries are hard errors --
 
     #[test]
     fn live_allow_entry_passes_liveness() {
-        let scanned = vec![(
-            "crates/core/src/a.rs".to_string(),
-            "fn f() {\n    x.expect(\"checked above\");\n}\n".to_string(),
-        )];
+        let src = "fn f() {\n    x.expect(\"checked above\");\n}\n";
         let allow = parse_allowlist("crates/core/src/a.rs :: .expect(\"checked above\")");
-        assert_eq!(check_allow_liveness(&allow, &scanned), vec![]);
+        assert_eq!(pass("crates/core/src/a.rs", src, &allow), vec![]);
     }
 
     #[test]
     fn stale_allow_entry_flagged() {
         // Entry's file exists but the fragment is gone; a second entry
         // only matches inside a test module. Both are stale.
-        let scanned = vec![(
-            "crates/core/src/a.rs".to_string(),
-            "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n".to_string(),
-        )];
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
         let allow = parse_allowlist(
             "crates/core/src/a.rs :: .expect(\"vanished\")\ncrates/core/src/a.rs :: .unwrap()",
         );
-        let v = check_allow_liveness(&allow, &scanned);
+        let v = pass("crates/core/src/a.rs", src, &allow);
         assert_eq!(v.len(), 2);
         assert_eq!(v[0].rule, "stale-allow");
     }
@@ -926,8 +787,48 @@ mod tests {
     #[test]
     fn path_module_test_decl_does_not_swallow_file() {
         let src = "#[cfg(test)]\nmod tests;\nfn f() { x.unwrap(); }\n";
-        assert_eq!(check_no_panic("crates/core/src/a.rs", src, &[]).len(), 1);
+        assert_eq!(no_panic("crates/core/src/a.rs", src, &[]).len(), 1);
         assert!(is_test_file("crates/core/src/sim/tests.rs"));
         assert!(!is_test_file("crates/core/src/sim/mod.rs"));
+    }
+
+    // -- a literal brace in a test module hides no later line --
+
+    #[test]
+    fn unwrap_after_brace_literal_test_module_flagged() {
+        let src = format!("{BRACE_LITERAL_TEST_MOD}fn f() {{\n    x.unwrap();\n}}\n");
+        let v = no_panic("crates/core/src/a.rs", &src, &[]);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 7);
+    }
+
+    #[test]
+    fn ordering_after_brace_literal_test_module_flagged() {
+        let src = format!(
+            "{BRACE_LITERAL_TEST_MOD}fn f(a: &A) {{\n    a.x.store(1, Ordering::SeqCst);\n}}\n"
+        );
+        let v = ordering("crates/e/src/p.rs", &src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 7);
+    }
+
+    #[test]
+    fn allow_entry_after_brace_literal_test_module_vets_its_site() {
+        // The entry's only match is a hot-path site after the module: the
+        // site is reported as vetted work, and the entry is live.
+        let src = format!(
+            "{BRACE_LITERAL_TEST_MOD}impl FlowLutSim {{\n    pub fn tick(&mut self) {{ self.q.pop().expect(\"queue invariant\"); }}\n}}\n"
+        );
+        let files = [("crates/core/src/sim/mod.rs".to_string(), src)];
+        let allow = parse_allowlist("crates/core/src/sim/mod.rs :: .expect(\"queue invariant\")");
+        let res = analyze_sources(
+            &files,
+            &[Entry::Type("FlowLutSim", "tick")],
+            &AnalyzeAllow::default(),
+            &allow,
+        );
+        assert_eq!(res.findings, vec![]);
+        assert_eq!(res.vetted.len(), 1);
+        assert_eq!((res.vetted[0].kind, res.vetted[0].line), ("panic", 7));
     }
 }

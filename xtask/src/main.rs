@@ -1,27 +1,33 @@
-//! Workspace task runner: `cargo xtask lint` and `cargo xtask analyze`.
+//! Workspace task runner: `cargo xtask lint [--json <path>]`.
 //!
-//! `lint` runs the repo-specific static-analysis pass described in
-//! DESIGN.md §Static analysis: crate-root hygiene attributes, the
-//! token-accurate `flowlut_core::sync` facade boundary, `// ordering:`
-//! justifications on every atomic site, the hot-path no-panic rule
-//! (with `xtask/lint_allow.txt` as the vetted-exception list, whose
-//! entries must all stay live), and the committed `BENCH_*.json`
-//! schema.
+//! One static-analysis pass over the workspace (DESIGN.md §Concurrency
+//! model & static analysis). It walks the files once, builds one token
+//! model per source file ([`analyze::extract`]) and runs every rule on
+//! it once:
 //!
-//! `analyze` runs the call-graph-aware pass on top of the same token
-//! lexer: it recovers `fn`/`impl` items and a conservative call graph
-//! across all workspace crates, then reports every allocation and
-//! panic site transitively reachable from the steady-state entry
-//! points (`FlowLutSim::tick`, `Session::offer`, `ShardedFlowLut::tick`,
-//! `FlowService::pump`, and the `FlowPipeline` impls' `push`/`poll`),
-//! minus the vetted cold-path/site allow-list in
-//! `xtask/analyze_allow.txt`. `--json <path>` additionally writes a
-//! machine-readable report (CI uploads it as an artifact).
+//! | rule            | scope                               | requirement |
+//! |-----------------|-------------------------------------|-------------|
+//! | `crate-attrs`   | first-party crate roots             | `#![forbid(unsafe_code)]` + `#![deny(missing_docs)]` |
+//! | `sync-facade`   | `crates/engine/src` (non-test)      | no direct `std::sync`/`std::thread`/`std::hint` — use `flowlut_core::sync` |
+//! | `ordering-doc`  | `crates/*/src` (non-test)           | every `Ordering::` site has an adjacent `// ordering:` justification |
+//! | `no-panic`      | engine/core/cam/hash src (non-test) | no `.unwrap()`/`.expect(`/`panic!(` outside `xtask/lint_allow.txt` |
+//! | `hot-alloc`     | fns reachable from the entry points | no allocation outside `xtask/analyze_allow.txt` |
+//! | `hot-panic`     | fns reachable from the entry points | no panic site outside `xtask/lint_allow.txt` |
+//! | `stale-allow`   | both allow-lists                    | every entry vetted ≥1 site (or pruned ≥1 edge) in this pass |
+//! | `bench-schema`  | committed `BENCH_*.json`            | parses as JSON and keeps its schema keys |
+//! | `entry-missing` | [`analyze::ENTRY_POINTS`]           | every entry point resolves to a function |
+//! | `allow-syntax`  | `xtask/analyze_allow.txt`           | every line parses as an entry |
 //!
-//! Pure `std` — no external dependencies — so both commands run in the
-//! offline build like everything else. The rules themselves live in
-//! [`lint`] and [`analyze`] as pure functions over file contents; this
-//! binary only discovers files and reports.
+//! The entry points are the steady-state ones (`FlowLutSim::tick`,
+//! `Session::offer`, `ShardedFlowLut::tick`, `FlowService::pump`, and
+//! the `FlowPipeline` impls' `push`/`poll`). `--json <path>`
+//! additionally writes a machine-readable report (CI uploads it as an
+//! artifact; its `vetted_hot_sites` array is the zero-alloc work list).
+//!
+//! Pure `std` — no external dependencies — so the pass runs in the
+//! offline build like everything else. The rules live in [`lint`] and
+//! [`analyze`] as pure functions over file contents; this binary only
+//! discovers files and reports.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -33,79 +39,46 @@ mod lint;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use lint::Violation;
-
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("lint") => {
-            let root = repo_root();
-            let (files, violations) = run_lint(&root);
-            if violations.is_empty() {
-                println!("xtask lint: {files} files clean");
-                ExitCode::SUCCESS
-            } else {
-                for v in &violations {
-                    eprintln!("{v}");
-                }
-                eprintln!(
-                    "xtask lint: {} violation(s) in {files} files",
-                    violations.len()
-                );
-                ExitCode::FAILURE
+    if args.next().as_deref() != Some("lint") {
+        eprintln!("usage: cargo xtask lint [--json <path>]");
+        return ExitCode::from(2);
+    }
+    let mut json_out: Option<PathBuf> = None;
+    while let Some(a) = args.next() {
+        match (a.as_str(), args.next()) {
+            ("--json", Some(p)) => json_out = Some(PathBuf::from(p)),
+            (other, _) => {
+                eprintln!("xtask lint: unknown or incomplete flag {other:?}");
+                return ExitCode::from(2);
             }
         }
-        Some("analyze") => {
-            let mut json_out: Option<PathBuf> = None;
-            while let Some(a) = args.next() {
-                match a.as_str() {
-                    "--json" => match args.next() {
-                        Some(p) => json_out = Some(PathBuf::from(p)),
-                        None => {
-                            eprintln!("xtask analyze: --json needs a path");
-                            return ExitCode::from(2);
-                        }
-                    },
-                    other => {
-                        eprintln!("xtask analyze: unknown flag {other:?}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            let root = repo_root();
-            let res = run_analyze(&root);
-            if let Some(path) = &json_out {
-                if let Err(e) = std::fs::write(path, analyze::report_json(&res)) {
-                    eprintln!("xtask analyze: cannot write {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-            for f in &res.findings {
-                eprintln!("{f}");
-            }
-            println!(
-                "xtask analyze: {} files, {} fns, {} call edges, {} reachable from {} entry points; {} vetted hot site(s), {} finding(s)",
-                res.files,
-                res.functions,
-                res.edges,
-                res.reachable,
-                analyze::ENTRY_POINTS.len(),
-                res.vetted.len(),
-                res.findings.len()
-            );
-            if res.findings.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
+    }
+    let res = run(&repo_root());
+    if let Some(path) = &json_out {
+        if let Err(e) = std::fs::write(path, analyze::report_json(&res)) {
+            eprintln!("xtask lint: cannot write {}: {e}", path.display());
+            return ExitCode::FAILURE;
         }
-        other => {
-            eprintln!(
-                "usage: cargo xtask <lint | analyze [--json <path>]>   (got {:?})",
-                other.unwrap_or("<nothing>")
-            );
-            ExitCode::from(2)
-        }
+    }
+    for f in &res.findings {
+        eprintln!("{f}");
+    }
+    println!(
+        "xtask lint: {} files, {} fns, {} call edges, {} reachable from {} entry points; {} vetted hot site(s), {} finding(s)",
+        res.files,
+        res.functions,
+        res.edges,
+        res.reachable,
+        analyze::ENTRY_POINTS.len(),
+        res.vetted.len(),
+        res.findings.len()
+    );
+    if res.findings.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -117,59 +90,36 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Crates whose sources count as hot-path for the no-panic rule.
-const HOT_PATH_CRATES: [&str; 4] = ["engine", "core", "cam", "hash"];
-
-/// Runs every lint rule over the workspace; returns the number of
-/// files scanned and all violations found.
-fn run_lint(root: &Path) -> (usize, Vec<Violation>) {
-    let mut files = 0usize;
-    let mut out: Vec<Violation> = Vec::new();
-    let allowlist = lint::parse_allowlist(&read(&root.join("xtask/lint_allow.txt")));
+/// Runs the whole pass over the workspace at `root`.
+fn run(root: &Path) -> analyze::AnalyzeResult {
+    // Every non-test source of `crates/*/src`, read once.
+    let mut sources: Vec<(String, String)> = Vec::new();
+    for dir in crate_dirs(root) {
+        for path in rust_files(&dir.join("src")) {
+            let rp = rel(root, &path);
+            if !lint::is_test_file(&rp) {
+                sources.push((rp, read(&path)));
+            }
+        }
+    }
+    let allow = analyze::parse_analyze_allow(&read(&root.join("xtask/analyze_allow.txt")));
+    let panic_allow = lint::parse_allowlist(&read(&root.join("xtask/lint_allow.txt")));
+    let mut res = analyze::analyze_sources(&sources, analyze::ENTRY_POINTS, &allow, &panic_allow);
 
     // crate-attrs: first-party crate roots (workspace crates, the
     // first-party vendored model checker, and this task runner; the
     // remaining vendor/ shims are ports of external crates and exempt).
-    let mut roots: Vec<PathBuf> = crate_dirs(root)
-        .into_iter()
-        .map(|d| d.join("src/lib.rs"))
-        .filter(|p| p.is_file())
-        .collect();
-    roots.push(root.join("vendor/loomlite/src/lib.rs"));
-    roots.push(root.join("xtask/src/main.rs"));
-    for path in roots {
-        files += 1;
-        out.extend(lint::check_crate_attrs(&rel(root, &path), &read(&path)));
-    }
-
-    // Per-file source rules over crates/*/src; collect the sources so
-    // the allow-list liveness check can scan them afterwards.
-    let mut scanned: Vec<(String, String)> = Vec::new();
-    for dir in crate_dirs(root) {
-        let crate_name = dir.file_name().and_then(|n| n.to_str()).unwrap_or_default();
-        let hot = HOT_PATH_CRATES.contains(&crate_name);
-        for path in rust_files(&dir.join("src")) {
-            let rp = rel(root, &path);
-            if lint::is_test_file(&rp) {
-                continue;
-            }
-            files += 1;
-            let src = read(&path);
-            out.extend(lint::check_ordering_comments(&rp, &src));
-            if crate_name == "engine" {
-                out.extend(lint::check_sync_facade(&rp, &src));
-            }
-            if hot {
-                out.extend(lint::check_no_panic(&rp, &src, &allowlist));
-            }
-            scanned.push((rp, src));
+    for (rp, src) in &sources {
+        if rp.ends_with("/src/lib.rs") && rp.matches('/').count() == 3 {
+            res.findings.extend(lint::check_crate_attrs(rp, src));
         }
     }
-
-    // stale-allow: every vetted exception must still match a live site.
-    out.extend(lint::check_allow_liveness(&allowlist, &scanned));
-
-    // bench-schema: committed perf snapshots at the repo root.
+    // The two first-party roots outside `crates/` (crate-attrs) and the
+    // committed perf snapshots at the repo root (bench-schema).
+    let mut extra: Vec<PathBuf> = vec![
+        root.join("vendor/loomlite/src/lib.rs"),
+        root.join("xtask/src/main.rs"),
+    ];
     let mut bench_files: Vec<PathBuf> = std::fs::read_dir(root)
         .expect("read workspace root")
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -180,52 +130,16 @@ fn run_lint(root: &Path) -> (usize, Vec<Violation>) {
         })
         .collect();
     bench_files.sort();
-    for path in bench_files {
-        files += 1;
-        out.extend(lint::check_bench_schema(&rel(root, &path), &read(&path)));
+    extra.extend(bench_files);
+    for path in &extra {
+        let (rp, text) = (rel(root, path), read(path));
+        res.findings.extend(if rp.ends_with(".json") {
+            lint::check_bench_schema(&rp, &text)
+        } else {
+            lint::check_crate_attrs(&rp, &text)
+        });
     }
-
-    (files, out)
-}
-
-/// Runs the call-graph analyses over every non-test source in
-/// `crates/*/src`, with the allow-lists read from `xtask/`.
-fn run_analyze(root: &Path) -> analyze::AnalyzeResult {
-    let mut sources: Vec<(String, String)> = Vec::new();
-    for dir in crate_dirs(root) {
-        for path in rust_files(&dir.join("src")) {
-            let rp = rel(root, &path);
-            if lint::is_test_file(&rp) {
-                continue;
-            }
-            sources.push((rp, read(&path)));
-        }
-    }
-    let allow = analyze::parse_analyze_allow(&read(&root.join("xtask/analyze_allow.txt")));
-    let panic_allow = lint::parse_allowlist(&read(&root.join("xtask/lint_allow.txt")));
-    let mut res = analyze::analyze_sources(&sources, analyze::ENTRY_POINTS, &allow, &panic_allow);
-    // The token-accurate facade/ordering rules are part of this pass
-    // too (ISSUE rule 3); fold their violations in as findings.
-    for (rp, src) in &sources {
-        let mut extra = Vec::new();
-        if rp.starts_with("crates/engine/src") {
-            extra.extend(lint::check_sync_facade(rp, src));
-        }
-        extra.extend(lint::check_ordering_comments(rp, src));
-        for v in extra {
-            res.findings.push(analyze::Finding {
-                file: v.file,
-                line: v.line,
-                rule: if v.rule == "sync-facade" {
-                    "sync-facade"
-                } else {
-                    "ordering-doc"
-                },
-                chain: String::new(),
-                msg: v.msg,
-            });
-        }
-    }
+    res.files += extra.len();
     res
 }
 
@@ -274,31 +188,15 @@ fn rel(root: &Path, path: &Path) -> String {
 mod tests {
     use super::*;
 
-    /// The committed workspace must lint clean: this is the same check
-    /// CI's static-analysis job runs, pinned as a test so a violation
-    /// fails `cargo test` even without the job.
+    /// The committed workspace must pass clean: this is the same check
+    /// CI's static-analysis job runs, pinned as a test so a finding
+    /// fails `cargo test` even without the job, with a plausibly-sized
+    /// item model underneath (guards against the walk or the extractor
+    /// silently recovering nothing).
     #[test]
     fn workspace_lints_clean() {
-        let (files, violations) = run_lint(&repo_root());
-        assert!(files > 40, "suspiciously few files scanned: {files}");
-        assert!(
-            violations.is_empty(),
-            "workspace lint violations:\n{}",
-            violations
-                .iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-    }
-
-    /// Same pin for the call-graph pass: the committed workspace must
-    /// analyze clean, with a plausibly-sized item model underneath
-    /// (guards against the extractor silently recovering nothing).
-    #[test]
-    fn workspace_analyzes_clean() {
-        let res = run_analyze(&repo_root());
-        assert!(res.files > 30, "suspiciously few files: {}", res.files);
+        let res = run(&repo_root());
+        assert!(res.files > 40, "suspiciously few files: {}", res.files);
         assert!(
             res.functions > 300,
             "suspiciously few fns recovered: {}",
@@ -311,7 +209,7 @@ mod tests {
         );
         assert!(
             res.findings.is_empty(),
-            "workspace analyze findings:\n{}",
+            "workspace findings:\n{}",
             res.findings
                 .iter()
                 .map(ToString::to_string)
